@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import QrelnetError, WidthMismatchError
-from .graphs import Graph, _connected, _edge_index_pairs, contract_edge, delete_edge
+from .graphs import Graph, connectivity_flags, contract_edge, delete_edge
 
 
 def _validate_probabilities(g: Graph, probs) -> list:
@@ -30,21 +30,17 @@ def _all_exact(probs) -> bool:
 def reliability_enumerate(g: Graph, probs):
     """Probability that the surviving edges connect all vertices, by enumeration.
 
-    Sums the Bernoulli weight of every connected edge state; cost is
-    ``2 ** num_edges`` connectivity checks.  Exact when every probability is
-    an ``int`` or ``Fraction``, float otherwise.
+    Sums the Bernoulli weight of every connected edge state in ascending
+    state order; the connected states come from one frontier pass.  Exact
+    when every probability is an ``int`` or ``Fraction``, float otherwise.
     """
     probs = _validate_probabilities(g, probs)
     comp = [1 - x for x in probs]
-    nv = len(g.vertices)
-    pairs = _edge_index_pairs(g)
     n = g.num_edges
     exact = _all_exact(probs)
     one = Fraction(1) if exact else 1.0
     total = one * 0
-    for state in range(1 << n):
-        if not _connected(nv, pairs, state):
-            continue
+    for state in connectivity_flags(g).nonzero()[0].tolist():
         w = one
         for i in range(n):
             w *= probs[i] if state >> i & 1 else comp[i]

@@ -217,7 +217,7 @@ def _emit_error(code: str, message: str) -> None:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        payload = args.run(args)
+        text = dumps_canonical({"schema": SCHEMA, **args.run(args)})
     except UsageError as exc:
         _emit_error("usage", str(exc))
         return 2
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         _emit_error("internal", f"{type(exc).__name__}: {exc}")
         return 1
-    sys.stdout.write(dumps_canonical({"schema": SCHEMA, **payload}) + "\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 

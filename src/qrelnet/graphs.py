@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError, QrelnetError, WidthMismatchError
 from .partitions import Partition
 
@@ -187,19 +189,6 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _connected(num_vertices: int, pairs, state: int) -> bool:
-    if num_vertices <= 1:
-        return True
-    parent = list(range(num_vertices))
-    for i, (a, b) in enumerate(pairs):
-        if state >> i & 1:
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[rb] = ra
-    root = _find(parent, 0)
-    return all(_find(parent, x) == root for x in range(1, num_vertices))
-
-
 def _components(num_vertices: int, pairs, state: int) -> list[list[int]]:
     parent = list(range(num_vertices))
     for i, (a, b) in enumerate(pairs):
@@ -216,7 +205,76 @@ def _components(num_vertices: int, pairs, state: int) -> list[list[int]]:
 def is_connected(g: Graph, state: int) -> bool:
     """Whether the active subgraph joins every vertex (loops never help)."""
     check_state(g, state)
-    return _connected(len(g.vertices), _edge_index_pairs(g), state)
+    return len(_components(len(g.vertices), _edge_index_pairs(g), state)) <= 1
+
+
+def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:
+    """Component trace on ``u`` of every edge state at once, by frontier search.
+
+    Returns ``(ids, finals)`` with ``finals[ids[state]]`` equal to
+    ``component_partition(g, u, state)`` for every state.  The graph is
+    compiled once into per-edge transition tables: edges are taken in index
+    order, and a search state is the partition of the live vertices (those
+    of ``u``, kept to the end, and those with an edge still to come) into
+    components, or the dead state 0 once a component has closed without
+    reaching ``u``.  A vertex leaves after its last edge.  Edge ``k`` meets
+    at most ``2 ** k`` search states, so compiling never costs more than
+    enumerating; applying the tables is one gather per edge and bit value,
+    with edge ``k`` on bit ``k`` of the state index.
+    """
+    uset = set(u)
+    if not uset <= set(g.vertices):
+        raise QrelnetError("subset mentions a vertex not in the graph", code="invalid_partition")
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
+    for k, edge in enumerate(g.edges):
+        for v in edge:
+            first.setdefault(v, k)
+            last[v] = k
+    frontier = [v for v in g.vertices if v in uset]
+    # A vertex outside ``u`` with no edge is an island in every state.
+    stranded = any(v not in uset and v not in first for v in g.vertices)
+    states = {} if stranded else {tuple(range(len(frontier))): 1}
+    ids = np.array([0 if stranded else 1], dtype=np.int32)
+    for k, (a, b) in enumerate(g.edges):
+        grown = frontier + [v for v in dict.fromkeys((a, b)) if v not in uset and first[v] == k]
+        ia, ib = grown.index(a), grown.index(b)
+        leaving = [i for i in {ia, ib} if grown[i] not in uset and last[grown[i]] == k]
+        kept = [i for i in range(len(grown)) if i not in leaving]
+        fresh = tuple(range(len(frontier), len(grown)))
+        table = np.zeros((2, len(states) + 1), dtype=np.int32)
+        nxt: dict[tuple, int] = {}
+        for labels, idx in states.items():
+            labels += fresh
+            x, y = labels[ia], labels[ib]
+            joined = tuple(x if lab == y else lab for lab in labels)
+            for bit, labs in enumerate((labels, joined)):
+                live = [labs[i] for i in kept]
+                if any(labs[i] not in live for i in leaving):
+                    continue
+                rename: dict[int, int] = {}
+                key = tuple(rename.setdefault(lab, len(rename)) for lab in live)
+                table[bit, idx] = nxt.setdefault(key, len(nxt) + 1)
+        ids = np.concatenate((table[0][ids], table[1][ids]))
+        states = nxt
+        frontier = [grown[i] for i in kept]
+    finals: list[Partition | None] = [None] * (len(states) + 1)
+    for labels, idx in states.items():
+        blocks: dict[int, list[str]] = {}
+        for v, lab in zip(frontier, labels):
+            blocks.setdefault(lab, []).append(v)
+        finals[idx] = Partition(tuple(tuple(b) for b in blocks.values()))
+    return ids, finals
+
+
+def connectivity_flags(g: Graph) -> np.ndarray:
+    """``uint8`` 0/1 flag of every edge state: 1 where it connects all of ``g``.
+
+    One kept vertex turns "no island" into "one component"; graphs with no
+    vertex or a single vertex are connected in every state.
+    """
+    ids, finals = component_traces(g, g.vertices[:1])
+    return np.array([f is not None for f in finals], dtype=np.uint8)[ids]
 
 
 def component_partition(h: Graph, u, state: int) -> Partition | None:

@@ -17,14 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OverlapError, QrelnetError, WidthMismatchError
-from .graphs import (
-    Graph,
-    MAX_EDGES,
-    _connected,
-    _edge_index_pairs,
-    component_partition,
-    quotient,
-)
+from .graphs import Graph, MAX_EDGES, component_traces, connectivity_flags, quotient
 from .partitions import Partition, connectivity_matrix
 from .states import StateVector
 
@@ -51,14 +44,12 @@ class DiagonalOperator:
         return all(x == 0 or x == 1 for x in self.diag)
 
     def as_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self.diag])
+        return np.array(self.diag, dtype=float)
 
 
 def qr_operator(g: Graph) -> DiagonalOperator:
     """Connectivity projector of a graph: diag[state] = 1 iff state connects it."""
-    nv = len(g.vertices)
-    pairs = _edge_index_pairs(g)
-    return DiagonalOperator(g.num_edges, tuple(1 if _connected(nv, pairs, s) else 0 for s in range(g.num_states)))
+    return DiagonalOperator(g.num_edges, tuple(connectivity_flags(g).tolist()))
 
 
 def qr_value(op: DiagonalOperator, psi: StateVector) -> float:
@@ -77,8 +68,9 @@ def o_gamma_operator(h: Graph, u, gamma: Partition) -> DiagonalOperator:
     """
     if gamma.ground_set() != set(u):
         raise QrelnetError("partition does not cover exactly the given subset", code="invalid_partition")
-    diag = tuple(1 if component_partition(h, u, s) == gamma else 0 for s in range(h.num_states))
-    return DiagonalOperator(h.num_edges, diag)
+    ids, finals = component_traces(h, u)
+    hits = np.array([f == gamma for f in finals], dtype=np.uint8)
+    return DiagonalOperator(h.num_edges, tuple(hits[ids].tolist()))
 
 
 def union_graph(k: Graph, h: Graph, shared) -> Graph:
@@ -171,7 +163,7 @@ class BornEstimate(NamedTuple):
 
 
 def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
-    """Monte Carlo quantum reliability: sample configurations, test connectivity.
+    """Monte Carlo quantum reliability: sample configurations, look up connectivity.
 
     Draws ``n`` edge states from the Born distribution of ``psi`` with a
     seeded generator, returns the connected fraction and its binomial
@@ -186,7 +178,7 @@ def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
     draws = rng.random(n)
     states = np.searchsorted(cdf, draws, side="right")
     np.clip(states, 0, g.num_states - 1, out=states)
-    flags = np.array(qr_operator(g).diag, dtype=float)
+    flags = qr_operator(g).as_float()
     estimate = float(np.mean(flags[states]))
     stderr = sqrt(estimate * (1.0 - estimate) / n)
     return BornEstimate(estimate, stderr)

@@ -133,13 +133,19 @@ def _parse_complex(obj) -> complex:
     ok = (isinstance(obj, list) and len(obj) == 2
           and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj))
     _require(ok, "complex numbers are [re, im] pairs", "invalid_state")
-    return complex(obj[0], obj[1])
+    try:
+        return complex(obj[0], obj[1])
+    except OverflowError:
+        raise QrelnetError("complex part too large for a float", code="invalid_state") from None
 
 
 def _parse_probability(x) -> float:
     _require(isinstance(x, (int, float)) and not isinstance(x, bool),
              "probabilities must be numbers", "invalid_probability")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise QrelnetError("probability too large for a float", code="invalid_probability") from None
 
 
 def parse_state(obj, g: Graph) -> StateVector:

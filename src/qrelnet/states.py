@@ -8,6 +8,7 @@ drifts beyond ``NORM_TOL`` are rejected outright, never renormalized.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class StateVector:
                 f"expected {1 << self.num_edges} amplitudes, got shape {amps.shape}",
                 code="invalid_state",
             )
+        if not np.isfinite(amps).all():
+            raise QrelnetError("amplitudes must be finite", code="invalid_state")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise NormalizationError(f"state norm^2 is {norm_sq!r}, must be 1 within {NORM_TOL}")
@@ -43,6 +46,12 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         """Born weights of the basis states."""
         return np.abs(self.amplitudes) ** 2
+
+
+def _check_phase(phase: complex) -> None:
+    # NaN fails every comparison, so the distance test alone would pass it.
+    if not cmath.isfinite(phase) or abs(abs(phase) - 1.0) > NORM_TOL:
+        raise QrelnetError(f"phase {phase!r} must lie on the unit circle", code="invalid_state")
 
 
 @dataclass(frozen=True)
@@ -55,8 +64,7 @@ class QubitSpec:
     def __post_init__(self):
         if not 0 <= self.p <= 1:
             raise QrelnetError(f"qubit probability {self.p} outside [0, 1]", code="invalid_probability")
-        if abs(abs(self.phase) - 1.0) > NORM_TOL:
-            raise QrelnetError(f"phase {self.phase!r} must lie on the unit circle", code="invalid_state")
+        _check_phase(self.phase)
 
 
 def qubit(spec: QubitSpec) -> StateVector:
@@ -92,8 +100,7 @@ def two_term_state(g, zeta: int, chi: int, p: float, phase: complex = 1.0 + 0j) 
         raise QrelnetError("the two basis configurations must differ", code="invalid_state")
     if not 0 <= p <= 1:
         raise QrelnetError(f"probability {p} outside [0, 1]", code="invalid_probability")
-    if abs(abs(phase) - 1.0) > NORM_TOL:
-        raise QrelnetError(f"phase {phase!r} must lie on the unit circle", code="invalid_state")
+    _check_phase(phase)
     amps = np.zeros(size, dtype=np.complex128)
     amps[zeta] = np.sqrt(p)
     amps[chi] = np.sqrt(1.0 - p) * phase

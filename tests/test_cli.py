@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 
 from qrelnet.cli import main
 
@@ -220,3 +221,38 @@ def test_not_normalized_state(tmp_path):
     code, _, err = run_cli("qr", "--graph", g, "--state", s)
     assert code == 2
     assert json.loads(err)["error"]["code"] == "not_normalized"
+
+
+def _assert_rejected(result, code_name):
+    code, out, err = result
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == code_name
+
+
+def test_non_finite_amplitudes_and_phases_are_rejected(tmp_path):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    states = (
+        {"type": "amplitudes", "values": [[math.nan, 0], [1, 0]]},
+        {"type": "product", "qubits": [{"p": 0.5, "phase": [math.nan, 0]}]},
+        {"type": "two_term", "zeta": "1", "chi": "0", "p": 0.5, "phase": [0, math.nan]},
+    )
+    for i, state in enumerate(states):
+        s = write_json(tmp_path, f"s{i}.json", state)
+        _assert_rejected(run_cli("qr", "--graph", g, "--state", s), "invalid_state")
+        _assert_rejected(run_cli("sample", "--graph", g, "--state", s, "-n", "10"), "invalid_state")
+
+
+def test_huge_json_integers_are_input_errors(tmp_path):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    huge = 10 ** 400
+    s = write_json(tmp_path, "p.json", {"type": "product", "qubits": [{"p": huge}]})
+    _assert_rejected(run_cli("qr", "--graph", g, "--state", s), "invalid_probability")
+    s = write_json(tmp_path, "c.json", {"type": "amplitudes", "values": [[huge, 0], [0, 0]]})
+    _assert_rejected(run_cli("qr", "--graph", g, "--state", s), "invalid_state")
+
+
+def test_unserializable_payload_is_a_json_error(tmp_path, monkeypatch):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    s = write_json(tmp_path, "s.json", {"type": "product", "qubits": [{"p": 0.5}]})
+    monkeypatch.setattr("qrelnet.cli.qr_value", lambda op, psi: math.inf)
+    _assert_rejected(run_cli("qr", "--graph", g, "--state", s), "invalid_input")
