@@ -17,7 +17,7 @@ from .errors import CapacityError, QrelnetError
 from .graphs import MAX_EDGES, Graph
 from .hybrid import canonical_decomposition, hybrid_qr, sublayer_qr
 from .operators import born_sample, qr_operator, qr_value, verify_split
-from .partitions import Partition, connectivity_matrix, matrix_for_order
+from .partitions import Partition, check_matrix_size, connectivity_matrix, matrix_for_order
 from .serialize import (
     SCHEMA,
     dumps_canonical,
@@ -153,6 +153,7 @@ def _cmd_matrix(args) -> dict:
             raise QrelnetError("--paper-order is only defined for --m 3", code="usage")
         cm = matrix_for_order(M3_REFERENCE_ORDER)
     else:
+        check_matrix_size(args.m)  # before the name list, which a huge --m could not hold
         cm = connectivity_matrix([str(i) for i in range(1, args.m + 1)])
     return {
         "m": args.m,
@@ -226,6 +227,9 @@ def main(argv=None) -> int:
         return 2
     except QrelnetError as exc:
         _emit_error(exc.code, str(exc))
+        return 2
+    except MemoryError:
+        _emit_error("capacity", "out of memory")
         return 2
     except RecursionError:
         _emit_error("internal", "recursion limit hit")

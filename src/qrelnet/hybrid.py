@@ -113,11 +113,8 @@ def hybrid_qr(decomp: Decomposition, state: HybridState) -> float:
     qk = [qr_value(qr_operator(quotient(k, shared, p)), state.quantum) for p in cm.order]
     rh = [float(reliability_enumerate(quotient(h, shared, p), list(state.classical))) for p in cm.order]
     total = 0.0
-    for i in range(len(cm.order)):
-        for j in range(len(cm.order)):
-            b = cm.beta[i][j]
-            if b:
-                total += float(b) * qk[i] * rh[j]
+    for i, j, b in cm.weight_pairs():
+        total += float(b) * qk[i] * rh[j]
     return total
 
 
@@ -158,13 +155,10 @@ def sublayer_qr(decomp: Decomposition, state: HybridState) -> SublayerResult:
     t = single_block(shared)
     qk = [qr_value(qr_operator(quotient(k, shared, p)), state.quantum) for p in cm.order]
     rh = [float(reliability_enumerate(quotient(h, shared, p), list(state.classical))) for p in cm.order]
-    corrections = []
-    for i, gamma in enumerate(cm.order):
-        if gamma == t:
-            continue
-        for j, gamma_prime in enumerate(cm.order):
-            b = cm.beta[i][j]
-            if b:
-                corrections.append(CorrectionTerm(gamma, gamma_prime, b, float(b) * qk[i] * rh[j]))
+    corrections = [
+        CorrectionTerm(cm.order[i], cm.order[j], b, float(b) * qk[i] * rh[j])
+        for i, j, b in cm.weight_pairs()
+        if cm.order[i] != t
+    ]
     total = baseline + sum(c.value for c in corrections)
     return SublayerResult(total, baseline, tuple(corrections))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OverlapError, QrelnetError, WidthMismatchError
+from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
 from .graphs import Graph, MAX_EDGES, component_traces, connectivity_flags, quotient
 from .partitions import Partition, connectivity_matrix
 from .states import StateVector
@@ -89,37 +89,30 @@ def union_graph(k: Graph, h: Graph, shared) -> Graph:
     return Graph(vertices, h.edges + k.edges)
 
 
-def _quotient_diagonals(g: Graph, shared, parts) -> list[tuple]:
-    return [qr_operator(quotient(g, shared, p)).diag for p in parts]
+def _quotient_diagonals(g: Graph, shared, parts) -> np.ndarray:
+    return np.array([qr_operator(quotient(g, shared, p)).diag for p in parts], dtype=np.uint8)
 
 
 def split_operator(k: Graph, h: Graph, shared) -> DiagonalOperator:
     """Reliability operator of the glued network, assembled from quotients.
 
     Computes ``sum over (gamma, gamma') of beta[gamma][gamma'] *
-    QR(k/gamma) (x) QR(h/gamma')`` with exact rational weights.  The result
-    acts on the union's edge order: ``h`` low bits, ``k`` high bits.
+    QR(k/gamma) (x) QR(h/gamma')`` exactly, as one int64 product with beta
+    scaled to a common denominator.  The result acts on the union's edge
+    order: ``h`` low bits, ``k`` high bits.
     """
     union_graph(k, h, shared)  # validates the overlap and the combined edge count
     if not shared:
         raise QrelnetError("splitting needs at least one shared vertex", code="invalid_partition")
     cm = connectivity_matrix(shared)
-    parts = cm.order
-    kd = _quotient_diagonals(k, shared, parts)
-    hd = _quotient_diagonals(h, shared, parts)
-    nb = len(parts)
-    size_k, size_h = k.num_states, h.num_states
-
-    # Contract beta against the k-side first; each mid row is one gamma'.
-    mid = [
-        [sum(cm.beta[i][j] * kd[i][sk] for i in range(nb) if kd[i][sk]) for sk in range(size_k)]
-        for j in range(nb)
-    ]
-    diag = []
-    for sk in range(size_k):
-        weights = [mid[j][sk] for j in range(nb)]
-        for sh in range(size_h):
-            diag.append(sum(weights[j] for j in range(nb) if hd[j][sh]))
+    kd = _quotient_diagonals(k, shared, cm.order)
+    hd = _quotient_diagonals(h, shared, cm.order)
+    # Row sk, column sh is state sk * 2^|E_h| + sh, so flattening keeps k-major
+    # order.  0/1 sides keep every partial sum within the absolute sum of
+    # cm.scaled, which matrix_for_order bounds below int64.
+    scaled = (kd.T @ (cm.scaled @ hd)).ravel()
+    whole, rest = np.divmod(scaled, cm.denominator)
+    diag = [Fraction(x, cm.denominator) for x in scaled.tolist()] if rest.any() else whole.tolist()
     return DiagonalOperator(k.num_edges + h.num_edges, tuple(diag))
 
 
@@ -149,11 +142,8 @@ def qr_split_value(k: Graph, h: Graph, shared, psi_k: StateVector, psi_h: StateV
     qk = [qr_value(qr_operator(quotient(k, shared, p)), psi_k) for p in parts]
     qh = [qr_value(qr_operator(quotient(h, shared, p)), psi_h) for p in parts]
     total = 0.0
-    for i in range(len(parts)):
-        for j in range(len(parts)):
-            b = cm.beta[i][j]
-            if b:
-                total += float(b) * qk[i] * qh[j]
+    for i, j, b in cm.weight_pairs():
+        total += float(b) * qk[i] * qh[j]
     return total
 
 
@@ -173,6 +163,8 @@ def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
         raise WidthMismatchError(f"state spans {psi.num_edges} edges, graph has {g.num_edges}")
     if n < 1:
         raise QrelnetError(f"sample count must be positive, got {n}", code="invalid_input")
+    if n > np.iinfo(np.intp).max:
+        raise CapacityError(f"sample count {n} exceeds {np.iinfo(np.intp).max}")
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(psi.probabilities())
     draws = rng.random(n)

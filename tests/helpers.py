@@ -2,14 +2,17 @@
 
 The oracles deliberately use different algorithms than the library (breadth
 first search instead of union-find, block-graph closure instead of label
-union) so agreement is evidence, not tautology.
+union, pairwise merges and elimination instead of the Moebius closed form,
+rational loops instead of integer products) so agreement is evidence, not
+tautology.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
-from qrelnet import Graph, Partition
+from qrelnet import Graph, Partition, enumerate_partitions, qr_operator, quotient
 
 
 def bfs_is_connected(g: Graph, state: int) -> bool:
@@ -136,3 +139,92 @@ def random_split(rng, num_shared: int, max_side_extra: int, max_total_edges: int
     k = Graph(k_verts, side_edges(k_verts, nk))
     h = Graph(h_verts, side_edges(h_verts, total - nk))
     return k, h, shared
+
+
+def _merge_is_single_block(lab_p: list[int], lab_q: list[int], m: int) -> bool:
+    # Union-find over element indices, driven by both label vectors.
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for labels in (lab_p, lab_q):
+        first: dict[int, int] = {}
+        for i, lab in enumerate(labels):
+            if lab in first:
+                ra, rb = find(first[lab]), find(i)
+                if ra != rb:
+                    parent[rb] = ra
+            else:
+                first[lab] = i
+    root = find(0)
+    return all(find(i) == root for i in range(1, m))
+
+
+def pairwise_merge_alpha(parts) -> list[list[int]]:
+    """alpha[i][j] = 1 iff partitions i and j merge into one block, pair by pair."""
+    elems = sorted(parts[0].ground_set())
+    index = {v: i for i, v in enumerate(elems)}
+    labels = []
+    for p in parts:
+        lab = [0] * len(elems)
+        for b, block in enumerate(p.blocks):
+            for v in block:
+                lab[index[v]] = b
+        labels.append(lab)
+    return [[int(_merge_is_single_block(lp, lq, len(elems))) for lq in labels] for lp in labels]
+
+
+def invert_exact(alpha: list[list[int]]) -> list[list[Fraction]]:
+    """Exact inverse of an integer matrix by one-step fraction-free elimination.
+
+    Works on the augmented matrix [alpha | I] keeping every entry an integer;
+    each elimination step divides by the previous pivot, which the one-step
+    recurrence guarantees to be exact.  The inverse entry is then the
+    right-half entry over the row's diagonal entry.
+    """
+    n = len(alpha)
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(alpha)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+        pivot = m[k][k]
+        row_k = m[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row_i = m[i]
+            f = row_i[k]
+            m[i] = [(pivot * x - f * y) // prev for x, y in zip(row_i, row_k)]
+            m[i][k] = 0
+        prev = pivot
+    return [[Fraction(m[i][n + j], m[i][i]) for j in range(n)] for i in range(n)]
+
+
+def split_diag_fraction_loop(k: Graph, h: Graph, shared) -> list:
+    """The splitting sum over (gamma, gamma') in nested rational loops, k-major.
+
+    The weights come from elimination on the pairwise-merge alpha.
+    """
+    parts = enumerate_partitions(shared)
+    beta = invert_exact(pairwise_merge_alpha(parts))
+    nb = len(parts)
+    kd = [qr_operator(quotient(k, shared, p)).diag for p in parts]
+    hd = [qr_operator(quotient(h, shared, p)).diag for p in parts]
+    mid = [
+        [sum(beta[i][j] * kd[i][sk] for i in range(nb) if kd[i][sk]) for sk in range(k.num_states)]
+        for j in range(nb)
+    ]
+    diag = []
+    for sk in range(k.num_states):
+        weights = [mid[j][sk] for j in range(nb)]
+        for sh in range(h.num_states):
+            diag.append(sum(weights[j] for j in range(nb) if hd[j][sh]))
+    return diag

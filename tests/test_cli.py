@@ -256,3 +256,28 @@ def test_unserializable_payload_is_a_json_error(tmp_path, monkeypatch):
     s = write_json(tmp_path, "s.json", {"type": "product", "qubits": [{"p": 0.5}]})
     monkeypatch.setattr("qrelnet.cli.qr_value", lambda op, psi: math.inf)
     _assert_rejected(run_cli("qr", "--graph", g, "--state", s), "invalid_input")
+
+
+def test_matrix_huge_m_is_a_capacity_error_before_any_allocation():
+    _assert_rejected(run_cli("matrix", "--m", str(10 ** 30)), "capacity")
+    code, out, err = run_cli("matrix", "--m", "8")
+    assert (code, out) == (2, "")
+    assert err == ('{"error":{"code":"capacity","message":"connectivity matrix needs between 1 '
+                   'and 7 elements, got 8"},"schema":"qrelnet/1"}\n')
+
+
+def test_sample_count_beyond_an_index_is_a_capacity_error(tmp_path):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    s = write_json(tmp_path, "s.json", {"type": "product", "qubits": [{"p": 0.5}]})
+    _assert_rejected(run_cli("sample", "--graph", g, "--state", s, "-n", str(10 ** 30)), "capacity")
+
+
+def test_memory_error_is_a_capacity_error(tmp_path, monkeypatch):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    s = write_json(tmp_path, "s.json", {"type": "product", "qubits": [{"p": 0.5}]})
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("qrelnet.cli.born_sample", exhausted)
+    _assert_rejected(run_cli("sample", "--graph", g, "--state", s, "-n", "10"), "capacity")

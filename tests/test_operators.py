@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qrelnet import (
+    CapacityError,
     DiagonalOperator,
     Graph,
     OverlapError,
@@ -38,7 +39,7 @@ from qrelnet import (
     union_graph,
     verify_split,
 )
-from helpers import random_graph, random_probabilities, random_split
+from helpers import random_graph, random_probabilities, random_split, split_diag_fraction_loop
 
 
 def g1():
@@ -204,6 +205,14 @@ def test_split_operator_random_instances_exact():
         assert verify_split(k, h, shared)
 
 
+def test_split_operator_matches_rational_loop_oracle():
+    rng = random.Random(83)
+    for num_shared in (1, 2, 3, 4):
+        for _ in range(6):
+            k, h, shared = random_split(rng, num_shared, 2, 8)
+            assert list(split_operator(k, h, shared).diag) == split_diag_fraction_loop(k, h, shared)
+
+
 def test_split_operator_values_are_zero_one():
     rng = random.Random(73)
     for _ in range(10):
@@ -247,6 +256,8 @@ def test_born_sample_validation():
         born_sample(g, product_state([QubitSpec(0.5)]), 0, seed=1)
     with pytest.raises(WidthMismatchError):
         born_sample(g, random_state(2, 0), 10, seed=1)
+    with pytest.raises(CapacityError):
+        born_sample(g, product_state([QubitSpec(0.5)]), np.iinfo(np.intp).max + 1, seed=1)
 
 
 def test_born_sample_basis_state_is_exact():

@@ -1,5 +1,6 @@
 """Partition canonical form, enumeration order, merge, and the exact inverse."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from qrelnet import (
     single_block,
     singletons,
 )
-from helpers import closure_merge
+from qrelnet.cli import M3_REFERENCE_ORDER
+from helpers import closure_merge, invert_exact, pairwise_merge_alpha
 
 # Bell numbers 0..8, from the standard recurrence worked by hand.
 BELLS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -152,3 +154,41 @@ def test_matrix_caps():
 def test_beta_identities_small():
     for m in range(1, 5):
         assert beta_identities_check(connectivity_matrix([str(i) for i in range(m)]))
+
+
+@functools.lru_cache(maxsize=None)
+def _eliminated(m):
+    """Canonical order with its pairwise-merge alpha and eliminated beta."""
+    parts = enumerate_partitions([str(i) for i in range(1, m + 1)])
+    alpha = pairwise_merge_alpha(parts)
+    return parts, alpha, invert_exact(alpha)
+
+
+def _assert_matches_oracle(parts):
+    base, alpha, beta = _eliminated(len(parts[0].ground_set()))
+    where = [base.index(p) for p in parts]
+    cm = matrix_for_order(parts)
+    assert cm.order == tuple(parts)
+    assert [list(row) for row in cm.alpha] == pairwise_merge_alpha(parts)
+    assert [list(row) for row in cm.beta] == [[beta[i][j] for j in where] for i in where]
+    assert all(type(x) is int for row in cm.alpha for x in row)
+    assert all(type(x) is Fraction for row in cm.beta for x in row)
+    assert cm.scaled.tolist() == [[int(b * cm.denominator) for b in row] for row in cm.beta]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_closed_form_matches_elimination_in_canonical_and_shuffled_order(m):
+    parts = enumerate_partitions([str(i) for i in range(1, m + 1)])
+    _assert_matches_oracle(parts)
+    random.Random(100 + m).shuffle(parts)
+    _assert_matches_oracle(parts)
+
+
+def test_closed_form_matches_elimination_in_reference_order():
+    _assert_matches_oracle(list(M3_REFERENCE_ORDER))
+
+
+def test_weight_pairs_are_the_nonzero_weights_row_major():
+    cm = connectivity_matrix(["1", "2", "3", "4"])
+    expected = [(i, j, b) for i, row in enumerate(cm.beta) for j, b in enumerate(row) if b]
+    assert list(cm.weight_pairs()) == expected
