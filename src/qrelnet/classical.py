@@ -1,26 +1,42 @@
 """All-terminal reliability of multigraphs with independent edge failures.
 
-Two routes to the same number: direct summation over all edge states, and
-the deletion/contraction recursion.  Both accept floats or exact rationals;
-with ``fractions.Fraction`` probabilities every intermediate stays exact.
+Two routes to the same number, both over the frontier tables of
+:func:`qrelnet.graphs.frontier_tables`: a chunked enumeration of the
+connected edge states, and the deletion/contraction recursion run as a
+dynamic program over frontier states.  Both accept floats or exact
+rationals; with ``fractions.Fraction`` probabilities every intermediate
+stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
+
+import numpy as np
 
 from .errors import QrelnetError, WidthMismatchError
-from .graphs import Graph, connectivity_flags, contract_edge, delete_edge
+from .graphs import Graph, connectivity_flags, frontier_tables
+
+# Edges whose factors are tabulated once; the states are then walked in
+# aligned chunks of 2 ** CHUNK_BITS, so memory stays flat as |E| grows.
+CHUNK_BITS = 16
+
+
+def check_probabilities(probs) -> list:
+    """The probabilities as a list, each checked to lie in [0, 1]."""
+    probs = list(probs)
+    for x in probs:
+        if not 0 <= x <= 1:
+            raise QrelnetError(f"edge probability {x} outside [0, 1]", code="invalid_probability")
+    return probs
 
 
 def _validate_probabilities(g: Graph, probs) -> list:
     probs = list(probs)
     if len(probs) != g.num_edges:
         raise WidthMismatchError(f"{len(probs)} probabilities for {g.num_edges} edges")
-    for x in probs:
-        if not 0 <= x <= 1:
-            raise QrelnetError(f"edge probability {x} outside [0, 1]", code="invalid_probability")
-    return probs
+    return check_probabilities(probs)
 
 
 def _all_exact(probs) -> bool:
@@ -31,46 +47,67 @@ def reliability_enumerate(g: Graph, probs):
     """Probability that the surviving edges connect all vertices, by enumeration.
 
     Sums the Bernoulli weight of every connected edge state in ascending
-    state order; the connected states come from one frontier pass.  Exact
-    when every probability is an ``int`` or ``Fraction``, float otherwise.
+    state order; the connected states come from one frontier pass.  Each
+    weight is the product of its edges' factors (``p`` present, ``1 - p``
+    absent, formed in ``p``'s own type) taken in edge order, and the float
+    sum runs strictly left to right, so the result has the bits of the
+    plain per-state loop.  Exact when every probability is an ``int`` or
+    ``Fraction``: the weights are then integer numerators over the product
+    of the denominators.  Float otherwise.
     """
     probs = _validate_probabilities(g, probs)
-    comp = [1 - x for x in probs]
-    n = g.num_edges
     exact = _all_exact(probs)
-    one = Fraction(1) if exact else 1.0
-    total = one * 0
-    for state in connectivity_flags(g).nonzero()[0].tolist():
-        w = one
-        for i in range(n):
-            w *= probs[i] if state >> i & 1 else comp[i]
-        total += w
-    return total
+    if exact:
+        fracs = [Fraction(x) for x in probs]
+        factors = [(f.denominator - f.numerator, f.numerator) for f in fracs]
+        table = np.ones(1, dtype=object)
+    else:
+        factors = [(float(1 - x), float(x)) for x in probs]
+        table = np.ones(1)
+    low = min(g.num_edges, CHUNK_BITS)
+    # table[s] is the weight of the low edges in state s, multiplied in edge order.
+    for absent, present in factors[:low]:
+        table = np.concatenate((table * absent, table * present))
+    flags = connectivity_flags(g)
+    total = 0 if exact else 0.0
+    for start in range(0, flags.size, table.size):
+        w = table[np.flatnonzero(flags[start : start + table.size])]
+        high = start >> low
+        for i, pair in enumerate(factors[low:]):
+            w = w * pair[high >> i & 1]
+        if exact:
+            total += int(w.sum())
+        else:
+            total = np.add.accumulate(np.concatenate(([total], w)))[-1]
+    if exact:
+        return Fraction(total, prod(f.denominator for f in fracs))
+    return float(total)
 
 
 def reliability_factorize(g: Graph, probs):
     """Same value as :func:`reliability_enumerate`, by deletion/contraction.
 
-    Splits on the lowest-index live edge: contract with weight p, delete with
-    weight 1 - p.  Self-loops are contracted away eagerly (they never affect
-    connectivity).  No shortcuts beyond the loop rule, so the recursion shape
-    is deterministic.
+    Splits on the edges in index order: contract with weight p, delete with
+    weight 1 - p.  An edge whose endpoints are already merged is a loop and
+    is dropped without a split (loops never affect connectivity).  The
+    recursion is memoized on (edge index, frontier partition), since a
+    subproblem's value depends on nothing else: it runs backward over the
+    frontier tables, from 1 on every live final state and 0 on the dead
+    state.  Each split is ``p * contracted + (1 - p) * deleted``, with
+    ``1 - p`` formed in ``p``'s own type, so floats carry the bits of the
+    plain recursion and rationals stay exact.
     """
     probs = _validate_probabilities(g, probs)
-    exact = _all_exact(probs)
-
-    def recurse(h: Graph, ps: list):
-        keep = [i for i, (a, b) in enumerate(h.edges) if a != b]
-        if len(keep) != h.num_edges:
-            h = Graph(h.vertices, tuple(h.edges[i] for i in keep))
-            ps = [ps[i] for i in keep]
-        if not h.edges:
-            connected = len(h.vertices) <= 1
-            if exact:
-                return Fraction(1 if connected else 0)
-            return 1.0 if connected else 0.0
-        r = ps[0]
-        rest = ps[1:]
-        return r * recurse(contract_edge(h, 0), rest) + (1 - r) * recurse(delete_edge(h, 0), rest)
-
-    return recurse(g, probs)
+    start, tables, finals = frontier_tables(g, g.vertices[:1])
+    live = [f is not None for f in finals]
+    if _all_exact(probs):
+        value = [Fraction(int(x)) for x in live]
+        for r, (t0, t1) in zip(reversed(probs), reversed(tables)):
+            s = 1 - r
+            value = [value[a] if a == b else r * value[b] + s * value[a]
+                     for a, b in zip(t0.tolist(), t1.tolist())]
+        return value[start]
+    value = np.array(live, dtype=float)
+    for r, (t0, t1) in zip(reversed(probs), reversed(tables)):
+        value = np.where(t0 == t1, value[t0], float(r) * value[t1] + float(1 - r) * value[t0])
+    return float(value[start])

@@ -208,19 +208,20 @@ def is_connected(g: Graph, state: int) -> bool:
     return len(_components(len(g.vertices), _edge_index_pairs(g), state)) <= 1
 
 
-def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:
-    """Component trace on ``u`` of every edge state at once, by frontier search.
+def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition | None]]:
+    """Compile ``g`` into per-edge transition tables over frontier partitions.
 
-    Returns ``(ids, finals)`` with ``finals[ids[state]]`` equal to
-    ``component_partition(g, u, state)`` for every state.  The graph is
-    compiled once into per-edge transition tables: edges are taken in index
-    order, and a search state is the partition of the live vertices (those
-    of ``u``, kept to the end, and those with an edge still to come) into
-    components, or the dead state 0 once a component has closed without
-    reaching ``u``.  A vertex leaves after its last edge.  Edge ``k`` meets
-    at most ``2 ** k`` search states, so compiling never costs more than
-    enumerating; applying the tables is one gather per edge and bit value,
-    with edge ``k`` on bit ``k`` of the state index.
+    Returns ``(start, tables, finals)``.  Edges are taken in index order, and
+    a search state is the partition of the live vertices (those of ``u``,
+    kept to the end, and those with an edge still to come) into components,
+    or the dead state 0 once a component has closed without reaching ``u``.
+    A vertex leaves after its last edge.  ``tables[k]`` has shape
+    ``(2, S_k + 1)``: row 0 maps each state before edge ``k`` to its successor
+    with the edge absent, row 1 with it present; the dead state maps to
+    itself.  ``start`` is the state before edge 0, and ``finals[s]`` is the
+    component trace on ``u`` of final state ``s`` (``None`` for the dead
+    state).  Edge ``k`` meets at most ``2 ** k`` search states, so compiling
+    never costs more than enumerating.
     """
     uset = set(u)
     if not uset <= set(g.vertices):
@@ -235,7 +236,7 @@ def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:
     # A vertex outside ``u`` with no edge is an island in every state.
     stranded = any(v not in uset and v not in first for v in g.vertices)
     states = {} if stranded else {tuple(range(len(frontier))): 1}
-    ids = np.array([0 if stranded else 1], dtype=np.int32)
+    tables = []
     for k, (a, b) in enumerate(g.edges):
         grown = frontier + [v for v in dict.fromkeys((a, b)) if v not in uset and first[v] == k]
         ia, ib = grown.index(a), grown.index(b)
@@ -255,7 +256,7 @@ def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:
                 rename: dict[int, int] = {}
                 key = tuple(rename.setdefault(lab, len(rename)) for lab in live)
                 table[bit, idx] = nxt.setdefault(key, len(nxt) + 1)
-        ids = np.concatenate((table[0][ids], table[1][ids]))
+        tables.append(table)
         states = nxt
         frontier = [grown[i] for i in kept]
     finals: list[Partition | None] = [None] * (len(states) + 1)
@@ -264,6 +265,21 @@ def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:
         for v, lab in zip(frontier, labels):
             blocks.setdefault(lab, []).append(v)
         finals[idx] = Partition(tuple(tuple(b) for b in blocks.values()))
+    return 0 if stranded else 1, tables, finals
+
+
+def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:
+    """Component trace on ``u`` of every edge state at once, by frontier search.
+
+    Returns ``(ids, finals)`` with ``finals[ids[state]]`` equal to
+    ``component_partition(g, u, state)`` for every state.  Applies the
+    tables of :func:`frontier_tables` with one gather per edge and bit
+    value, with edge ``k`` on bit ``k`` of the state index.
+    """
+    start, tables, finals = frontier_tables(g, u)
+    ids = np.array([start], dtype=np.int32)
+    for table in tables:
+        ids = np.concatenate((table[0][ids], table[1][ids]))
     return ids, finals
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .classical import reliability_enumerate
+from .classical import check_probabilities, reliability_enumerate
 from .errors import OverlapError, QrelnetError, SublayerError, WidthMismatchError
 from .graphs import Graph, quotient
 from .operators import qr_operator, qr_value
@@ -45,10 +45,7 @@ class HybridState:
     classical: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "classical", tuple(self.classical))
-        for x in self.classical:
-            if not 0 <= x <= 1:
-                raise QrelnetError(f"edge probability {x} outside [0, 1]", code="invalid_probability")
+        object.__setattr__(self, "classical", tuple(check_probabilities(self.classical)))
 
 
 def canonical_decomposition(g: Graph, kinds) -> Decomposition:
@@ -160,5 +157,9 @@ def sublayer_qr(decomp: Decomposition, state: HybridState) -> SublayerResult:
         for i, j, b in cm.weight_pairs()
         if cm.order[i] != t
     ]
-    total = baseline + sum(c.value for c in corrections)
+    # Added one by one: the builtin sum is compensated from Python 3.12 on.
+    extra = 0.0
+    for c in corrections:
+        extra += c.value
+    total = baseline + extra
     return SublayerResult(total, baseline, tuple(corrections))

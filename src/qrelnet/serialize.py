@@ -13,7 +13,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import QrelnetError, WidthMismatchError
+from .errors import CapacityError, QrelnetError, WidthMismatchError
 from .graphs import Graph, edge_state_from_text
 from .hybrid import CLASSICAL, QUANTUM, Decomposition, HybridState
 from .partitions import Partition
@@ -74,7 +74,10 @@ def dumps_canonical(value) -> str:
 def rational_text(x) -> str:
     """Exact rational as ``"p/q"``, or a plain integer string."""
     f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    try:
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past int's string-conversion digit limit
+        raise CapacityError("exact value has too many digits to print") from None
 
 
 def partition_to_json(p: Partition) -> list[list[str]]:
@@ -213,6 +216,12 @@ def parse_hybrid_state(obj, decomp: Decomposition) -> HybridState:
     return HybridState(quantum, tuple(probs))
 
 
+# ``Fraction`` expands a decimal exponent into a power of ten, so "1e-9999999"
+# alone takes seconds.  Mantissa digits are already capped by ``int``'s
+# 4300-digit string limit; exponents get the same cap.
+MAX_EXACT_EXPONENT = 4300
+
+
 def parse_probability_list(text: str, exact: bool) -> list:
     """Comma-separated probabilities; exact mode parses rationals via Fraction."""
     if text.strip() == "":
@@ -220,8 +229,20 @@ def parse_probability_list(text: str, exact: bool) -> list:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
+        if exact and _exponent(piece) > MAX_EXACT_EXPONENT:
+            raise QrelnetError(f"bad probability {piece!r}: exponent too large", code="invalid_probability")
         try:
             out.append(Fraction(piece) if exact else float(piece))
         except (ValueError, ZeroDivisionError) as exc:
             raise QrelnetError(f"bad probability {piece!r}: {exc}", code="invalid_probability") from None
     return out
+
+
+def _exponent(piece: str) -> int:
+    _, e, exponent = piece.lower().partition("e")
+    if not e:
+        return 0
+    try:
+        return abs(int(exponent))
+    except ValueError:
+        return 0

@@ -1,18 +1,24 @@
 """Shared test utilities: random instances and independent oracles.
 
 The oracles deliberately use different algorithms than the library (breadth
-first search instead of union-find, block-graph closure instead of label
-union, pairwise merges and elimination instead of the Moebius closed form,
-rational loops instead of integer products) so agreement is evidence, not
+first search and networkx instead of frontier tables, block-graph closure
+instead of label union, pairwise merges and elimination instead of the
+Moebius closed form, rational loops instead of integer products, a per-state
+loop and the plain deletion/contraction recursion instead of vectorized
+enumeration and the frontier dynamic program) so agreement is evidence, not
 tautology.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from collections import deque
 from fractions import Fraction
 
-from qrelnet import Graph, Partition, enumerate_partitions, qr_operator, quotient
+import networkx as nx
+
+from qrelnet import Graph, Partition, contract_edge, delete_edge, enumerate_partitions, qr_operator, quotient
 
 
 def bfs_is_connected(g: Graph, state: int) -> bool:
@@ -35,6 +41,16 @@ def bfs_is_connected(g: Graph, state: int) -> bool:
                 seen.add(y)
                 queue.append(y)
     return len(seen) == nv
+
+
+def nx_is_connected(g: Graph, state: int) -> bool:
+    """Connectivity of the active subgraph, by networkx."""
+    if len(g.vertices) <= 1:
+        return True
+    h = nx.MultiGraph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(e for i, e in enumerate(g.edges) if state >> i & 1)
+    return nx.is_connected(h)
 
 
 def bfs_components(g: Graph, state: int) -> list[set[str]]:
@@ -116,6 +132,75 @@ def random_graph(rng, max_vertices: int, max_edges: int, *, min_vertices: int = 
 
 def random_probabilities(rng, n: int) -> list[float]:
     return [rng.random() for _ in range(n)]
+
+
+def scrambled_k6() -> Graph:
+    """K6 in an edge order that keeps all six vertices live almost to the end."""
+    rng = random.Random(5)
+    edges = list(itertools.combinations("abcdef", 2))
+    rng.shuffle(edges)
+    return Graph(tuple("abcdef"), tuple(edges))
+
+
+def edge_case_graphs(seed: int, count: int, max_vertices: int, max_edges: int):
+    """Small edge cases first, then random multigraphs with loops and strays."""
+    yield Graph((), ())
+    yield Graph(("a",), ())
+    yield Graph(("a",), (("a", "a"), ("a", "a")))
+    yield Graph(("a", "b"), ())
+    yield Graph(("a", "b", "c"), (("a", "b"), ("a", "b"), ("b", "b")))
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_graph(rng, max_vertices, max_edges)
+
+
+def _exact(probs) -> bool:
+    return all(isinstance(x, (int, Fraction)) for x in probs)
+
+
+def enumerate_oracle(g: Graph, probs, connected=bfs_is_connected):
+    """Reliability by the plain per-state loop.
+
+    Ascending states; each connected state's weight multiplies ``p`` or
+    ``1 - p`` (formed in ``p``'s own type) in edge order, starting from one
+    in the result type, and the weights are added one by one.
+    """
+    comp = [1 - x for x in probs]
+    one = Fraction(1) if _exact(probs) else 1.0
+    total = one * 0
+    for state in range(g.num_states):
+        if not connected(g, state):
+            continue
+        w = one
+        for i in range(g.num_edges):
+            w *= probs[i] if state >> i & 1 else comp[i]
+        total += w
+    return total
+
+
+def factorize_oracle(g: Graph, probs):
+    """Reliability by the plain deletion/contraction recursion.
+
+    Splits on the lowest-index edge that is not a self-loop: contract with
+    weight p, delete with weight 1 - p.  Self-loops are dropped eagerly.
+    """
+    exact = _exact(probs)
+
+    def recurse(h: Graph, ps: list):
+        keep = [i for i, (a, b) in enumerate(h.edges) if a != b]
+        if len(keep) != h.num_edges:
+            h = Graph(h.vertices, tuple(h.edges[i] for i in keep))
+            ps = [ps[i] for i in keep]
+        if not h.edges:
+            connected = len(h.vertices) <= 1
+            if exact:
+                return Fraction(1 if connected else 0)
+            return 1.0 if connected else 0.0
+        r = ps[0]
+        rest = ps[1:]
+        return r * recurse(contract_edge(h, 0), rest) + (1 - r) * recurse(delete_edge(h, 0), rest)
+
+    return recurse(g, list(probs))
 
 
 def random_split(rng, num_shared: int, max_side_extra: int, max_total_edges: int):

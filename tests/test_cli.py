@@ -281,3 +281,17 @@ def test_memory_error_is_a_capacity_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr("qrelnet.cli.born_sample", exhausted)
     _assert_rejected(run_cli("sample", "--graph", g, "--state", s, "-n", "10"), "capacity")
+
+
+def test_exact_probability_exponents_are_capped(tmp_path):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    code, out, err = run_cli("reliability", "--graph", g, "--p", "1e-4299", "--exact")
+    assert (code, err) == (0, "")
+    assert out == '{"schema":"qrelnet/1","value":"1/1' + "0" * 4299 + '"}\n'
+    # Expanding this exponent would take minutes; it is refused at once.
+    _assert_rejected(run_cli("reliability", "--graph", g, "--p", "1e-99999999", "--exact"), "invalid_probability")
+
+
+def test_exact_value_too_long_to_print_is_a_capacity_error(tmp_path):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]})
+    _assert_rejected(run_cli("reliability", "--graph", g, "--p", "1e-2200,1e-2200", "--exact"), "capacity")

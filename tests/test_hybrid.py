@@ -68,8 +68,12 @@ def test_canonical_decomposition_validation():
 
 
 def test_hybrid_state_validation():
-    with pytest.raises(QrelnetError):
+    with pytest.raises(QrelnetError) as hybrid_error:
         HybridState(random_state(1, 0), (1.5,))
+    with pytest.raises(QrelnetError) as classical_error:
+        reliability_enumerate(Graph(("a", "b"), (("a", "b"),)), [1.5])
+    assert str(hybrid_error.value) == str(classical_error.value) == "edge probability 1.5 outside [0, 1]"
+    assert hybrid_error.value.code == classical_error.value.code == "invalid_probability"
 
 
 def test_hybrid_qr_matches_direct_tensor_path():
@@ -159,6 +163,11 @@ def test_sublayer_total_matches_hybrid():
         state = HybridState(psi, tuple(probs))
         result = sublayer_qr(d, state)
         assert abs(result.total - hybrid_qr(d, state)) <= 1e-10
+        # The corrections are added one by one on every Python version.
+        extra = 0.0
+        for c in result.corrections:
+            extra += c.value
+        assert result.total == result.classical + extra
 
 
 def test_sublayer_inoperative_quantum_layer_changes_nothing():
