@@ -46,16 +46,26 @@ def _all_exact(probs) -> bool:
 def reliability_enumerate(g: Graph, probs):
     """Probability that the surviving edges connect all vertices, by enumeration.
 
-    Sums the Bernoulli weight of every connected edge state in ascending
-    state order; the connected states come from one frontier pass.  Each
-    weight is the product of its edges' factors (``p`` present, ``1 - p``
-    absent, formed in ``p``'s own type) taken in edge order, and the float
-    sum runs strictly left to right, so the result has the bits of the
-    plain per-state loop.  Exact when every probability is an ``int`` or
+    Sums the Bernoulli weights of the connected edge states, which come from
+    one frontier pass (see :func:`enumerate_flags`).  Exact when every
+    probability is an ``int`` or ``Fraction``, float otherwise.
+    """
+    probs = _validate_probabilities(g, probs)
+    return enumerate_flags(connectivity_flags(g), probs)
+
+
+def enumerate_flags(flags: np.ndarray, probs):
+    """Total Bernoulli weight of the edge states flagged 1 in ``flags``.
+
+    ``flags`` has one 0/1 entry per state of ``len(probs)`` edges, edge ``k``
+    on bit ``k``; ``probs`` are already checked.  Sums in ascending state
+    order; each weight is the product of its edges' factors (``p`` present,
+    ``1 - p`` absent, formed in ``p``'s own type) taken in edge order, and
+    the float sum runs strictly left to right, so the result has the bits of
+    the plain per-state loop.  Exact when every probability is an ``int`` or
     ``Fraction``: the weights are then integer numerators over the product
     of the denominators.  Float otherwise.
     """
-    probs = _validate_probabilities(g, probs)
     exact = _all_exact(probs)
     if exact:
         fracs = [Fraction(x) for x in probs]
@@ -64,11 +74,10 @@ def reliability_enumerate(g: Graph, probs):
     else:
         factors = [(float(1 - x), float(x)) for x in probs]
         table = np.ones(1)
-    low = min(g.num_edges, CHUNK_BITS)
+    low = min(len(factors), CHUNK_BITS)
     # table[s] is the weight of the low edges in state s, multiplied in edge order.
     for absent, present in factors[:low]:
         table = np.concatenate((table * absent, table * present))
-    flags = connectivity_flags(g)
     total = 0 if exact else 0.0
     for start in range(0, flags.size, table.size):
         w = table[np.flatnonzero(flags[start : start + table.size])]

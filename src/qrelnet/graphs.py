@@ -9,13 +9,12 @@ vertices, or a single vertex, counts as connected.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, QrelnetError, WidthMismatchError
-from .partitions import Partition
+from .partitions import Partition, components
 
 # 2**24 basis states is the largest dense vector this package will touch.
 MAX_EDGES = 24
@@ -47,22 +46,6 @@ class Graph:
     @property
     def num_states(self) -> int:
         return 1 << len(self.edges)
-
-
-@dataclass(frozen=True)
-class VertexPartitionMap:
-    """Assignment of every vertex to a block index, contiguous from zero.
-
-    Block indices follow first appearance in the graph's vertex order, which
-    keeps quotients deterministic.
-    """
-
-    assignment: dict[str, int]
-
-    def __post_init__(self):
-        blocks = set(self.assignment.values())
-        if blocks and blocks != set(range(len(blocks))):
-            raise QrelnetError("block indices must be contiguous from 0", code="invalid_partition")
 
 
 def check_state(g: Graph, state: int) -> None:
@@ -107,11 +90,13 @@ def delete_edge(g: Graph, e: int) -> Graph:
     return Graph(g.vertices, g.edges[:e] + g.edges[e + 1 :])
 
 
-def vertex_partition_map(g: Graph, u, gamma: Partition) -> VertexPartitionMap:
-    """Block assignment induced by a partition of the vertex subset ``u``.
+def vertex_partition_map(g: Graph, u, gamma: Partition) -> dict[str, int]:
+    """Block index of every vertex under a partition of the vertex subset ``u``.
 
     Vertices outside ``u`` stay in singleton blocks.  ``gamma`` must partition
-    exactly the set ``u``.
+    exactly the set ``u``.  Block indices run from 0 in order of first
+    appearance in the graph's vertex order, which keeps quotients
+    deterministic.
     """
     uset = set(u)
     if not uset <= set(g.vertices):
@@ -129,7 +114,7 @@ def vertex_partition_map(g: Graph, u, gamma: Partition) -> VertexPartitionMap:
         if key not in fresh:
             fresh[key] = len(fresh)
         assignment[v] = fresh[key]
-    return VertexPartitionMap(assignment)
+    return assignment
 
 
 def quotient(g: Graph, u, gamma: Partition) -> Graph:
@@ -139,13 +124,13 @@ def quotient(g: Graph, u, gamma: Partition) -> Graph:
     joining its members with ``+``; quotient by all-singletons is the
     identity.
     """
-    vpm = vertex_partition_map(g, u, gamma)
+    block = vertex_partition_map(g, u, gamma)
     members: dict[int, list[str]] = {}
     for v in g.vertices:
-        members.setdefault(vpm.assignment[v], []).append(v)
+        members.setdefault(block[v], []).append(v)
     names = {i: merged_name(vs) for i, vs in members.items()}
     vertices = tuple(names[i] for i in range(len(names)))
-    edges = tuple((names[vpm.assignment[a]], names[vpm.assignment[b]]) for a, b in g.edges)
+    edges = tuple((names[block[a]], names[block[b]]) for a, b in g.edges)
     return Graph(vertices, edges)
 
 
@@ -167,12 +152,6 @@ def contract_edge(g: Graph, e: int) -> Graph:
     return Graph(tuple(vertices), edges)
 
 
-def active_subgraph(g: Graph, state: int) -> Graph:
-    """Subgraph keeping all vertices and exactly the active edges."""
-    check_state(g, state)
-    return Graph(g.vertices, tuple(e for i, e in enumerate(g.edges) if state >> i & 1))
-
-
 def _vertex_index(g: Graph) -> dict[str, int]:
     return {v: i for i, v in enumerate(g.vertices)}
 
@@ -182,24 +161,8 @@ def _edge_index_pairs(g: Graph) -> list[tuple[int, int]]:
     return [(vi[a], vi[b]) for a, b in g.edges]
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def _components(num_vertices: int, pairs, state: int) -> list[list[int]]:
-    parent = list(range(num_vertices))
-    for i, (a, b) in enumerate(pairs):
-        if state >> i & 1:
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for x in range(num_vertices):
-        groups.setdefault(_find(parent, x), []).append(x)
-    return list(groups.values())
+    return components(num_vertices, (pair for i, pair in enumerate(pairs) if state >> i & 1))
 
 
 def is_connected(g: Graph, state: int) -> bool:
@@ -312,16 +275,3 @@ def component_partition(h: Graph, u, state: int) -> Partition | None:
         blocks.append(tuple(inter))
     return Partition(tuple(blocks))
 
-
-def canonical_form(g: Graph, max_vertices: int = 8):
-    """Isomorphism key for small graphs: brute force over vertex relabelings."""
-    nv = len(g.vertices)
-    if nv > max_vertices:
-        raise CapacityError(f"canonical form capped at {max_vertices} vertices, got {nv}")
-    pairs = _edge_index_pairs(g)
-    best = None
-    for perm in itertools.permutations(range(nv)):
-        key = tuple(sorted((min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in pairs))
-        if best is None or key < best:
-            best = key
-    return (nv, best)

@@ -15,11 +15,11 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .classical import check_probabilities, reliability_enumerate
+from .classical import check_probabilities, enumerate_flags, reliability_enumerate
 from .errors import OverlapError, QrelnetError, SublayerError, WidthMismatchError
-from .graphs import Graph, quotient
-from .operators import qr_operator, qr_value
-from .partitions import Partition, connectivity_matrix, single_block
+from .graphs import Graph
+from .operators import qr_operator, qr_value, quotient_table, quotient_values, split_sum
+from .partitions import ConnectivityMatrix, Partition, connectivity_matrix, single_block
 from .states import StateVector
 
 QUANTUM = "quantum"
@@ -91,6 +91,14 @@ def _check_inputs(decomp: Decomposition, state: HybridState) -> None:
         )
 
 
+def _quotient_reliabilities(decomp: Decomposition, state: HybridState, cm: ConnectivityMatrix):
+    """Quantum and classical reliability of every quotient, one frontier pass per side."""
+    qk = quotient_values(decomp.quantum, decomp.shared, cm, state.quantum)
+    table, ids = quotient_table(decomp.classical, decomp.shared, cm)
+    rh = [float(enumerate_flags(row[ids], state.classical)) for row in table]
+    return qk, rh
+
+
 def hybrid_qr(decomp: Decomposition, state: HybridState) -> float:
     """Reliability of a hybrid network via the splitting weights.
 
@@ -107,12 +115,7 @@ def hybrid_qr(decomp: Decomposition, state: HybridState) -> float:
     if not shared:
         return 0.0
     cm = connectivity_matrix(shared)
-    qk = [qr_value(qr_operator(quotient(k, shared, p)), state.quantum) for p in cm.order]
-    rh = [float(reliability_enumerate(quotient(h, shared, p), list(state.classical))) for p in cm.order]
-    total = 0.0
-    for i, j, b in cm.weight_pairs():
-        total += float(b) * qk[i] * rh[j]
-    return total
+    return split_sum(cm, *_quotient_reliabilities(decomp, state, cm))
 
 
 class CorrectionTerm(NamedTuple):
@@ -150,8 +153,7 @@ def sublayer_qr(decomp: Decomposition, state: HybridState) -> SublayerResult:
 
     cm = connectivity_matrix(shared)
     t = single_block(shared)
-    qk = [qr_value(qr_operator(quotient(k, shared, p)), state.quantum) for p in cm.order]
-    rh = [float(reliability_enumerate(quotient(h, shared, p), list(state.classical))) for p in cm.order]
+    qk, rh = _quotient_reliabilities(decomp, state, cm)
     corrections = [
         CorrectionTerm(cm.order[i], cm.order[j], b, float(b) * qk[i] * rh[j])
         for i, j, b in cm.weight_pairs()

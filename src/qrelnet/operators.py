@@ -17,39 +17,42 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
-from .graphs import Graph, MAX_EDGES, component_traces, connectivity_flags, quotient
-from .partitions import Partition, connectivity_matrix
+from .graphs import Graph, MAX_EDGES, component_traces, connectivity_flags
+from .partitions import ConnectivityMatrix, Partition, connectivity_matrix
 from .states import StateVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalOperator:
     """Operator that is diagonal in the edge-configuration basis.
 
-    Entries are exact (ints or rationals); projectors carry only 0 and 1.
+    ``diag`` is a read-only copy of the entries as an ndarray.  Entries are
+    exact (integers, or ``Fraction``s in an object array); projectors carry
+    only 0 and 1.
     """
 
     num_edges: int
-    diag: tuple
+    diag: np.ndarray
 
     def __post_init__(self):
         if not 0 <= self.num_edges <= MAX_EDGES:
             raise QrelnetError(f"operators support 0..{MAX_EDGES} edges", code="capacity")
-        diag = tuple(self.diag)
-        if len(diag) != 1 << self.num_edges:
-            raise WidthMismatchError(f"expected {1 << self.num_edges} diagonal entries, got {len(diag)}")
+        diag = np.array(self.diag)
+        if diag.shape != (1 << self.num_edges,):
+            raise WidthMismatchError(f"expected {1 << self.num_edges} diagonal entries, got shape {diag.shape}")
+        diag.flags.writeable = False
         object.__setattr__(self, "diag", diag)
 
     def is_projector(self) -> bool:
-        return all(x == 0 or x == 1 for x in self.diag)
+        return bool(((self.diag == 0) | (self.diag == 1)).all())
 
     def as_float(self) -> np.ndarray:
-        return np.array(self.diag, dtype=float)
+        return self.diag.astype(float)
 
 
 def qr_operator(g: Graph) -> DiagonalOperator:
     """Connectivity projector of a graph: diag[state] = 1 iff state connects it."""
-    return DiagonalOperator(g.num_edges, tuple(connectivity_flags(g).tolist()))
+    return DiagonalOperator(g.num_edges, connectivity_flags(g))
 
 
 def qr_value(op: DiagonalOperator, psi: StateVector) -> float:
@@ -70,7 +73,7 @@ def o_gamma_operator(h: Graph, u, gamma: Partition) -> DiagonalOperator:
         raise QrelnetError("partition does not cover exactly the given subset", code="invalid_partition")
     ids, finals = component_traces(h, u)
     hits = np.array([f == gamma for f in finals], dtype=np.uint8)
-    return DiagonalOperator(h.num_edges, tuple(hits[ids].tolist()))
+    return DiagonalOperator(h.num_edges, hits[ids])
 
 
 def union_graph(k: Graph, h: Graph, shared) -> Graph:
@@ -89,8 +92,37 @@ def union_graph(k: Graph, h: Graph, shared) -> Graph:
     return Graph(vertices, h.edges + k.edges)
 
 
-def _quotient_diagonals(g: Graph, shared, parts) -> np.ndarray:
-    return np.array([qr_operator(quotient(g, shared, p)).diag for p in parts], dtype=np.uint8)
+def quotient_table(g: Graph, shared, cm: ConnectivityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Connectivity of every quotient ``g / cm.order[i]``, from one frontier pass.
+
+    Returns ``(table, ids)`` with ``table[i][ids]`` equal to the diagonal of
+    ``qr_operator`` on the quotient graph of ``g`` by ``cm.order[i]``.  The
+    pass keeps the shared vertices live, so ``ids`` maps each state to its
+    component trace on them.  A state connects ``g / gamma`` exactly when it
+    leaves no island and its trace joins ``gamma`` into one block
+    (``QR(g/gamma)`` is the alpha-weighted sum of the ``O_gamma'``), so
+    ``table[i, s]`` is alpha between ``cm.order[i]`` and the trace of final
+    state ``s``, and 0 on the dead state.
+    """
+    ids, finals = component_traces(g, shared)
+    index = {p: i for i, p in enumerate(cm.order)}
+    table = np.zeros((len(cm.order), len(finals)), dtype=np.uint8)
+    table[:, 1:] = np.array(cm.alpha, dtype=np.uint8)[:, [index[f] for f in finals[1:]]]
+    return table, ids
+
+
+def quotient_values(g: Graph, shared, cm: ConnectivityMatrix, psi: StateVector) -> list[float]:
+    """``qr_value`` of every quotient ``g / cm.order[i]`` on ``psi``, a row at a time."""
+    table, ids = quotient_table(g, shared, cm)
+    return [qr_value(DiagonalOperator(g.num_edges, row[ids]), psi) for row in table]
+
+
+def split_sum(cm: ConnectivityMatrix, left, right) -> float:
+    """``sum of beta[i][j] * left[i] * right[j]`` in floats, in ``weight_pairs`` order."""
+    total = 0.0
+    for i, j, b in cm.weight_pairs():
+        total += float(b) * left[i] * right[j]
+    return total
 
 
 def split_operator(k: Graph, h: Graph, shared) -> DiagonalOperator:
@@ -105,22 +137,24 @@ def split_operator(k: Graph, h: Graph, shared) -> DiagonalOperator:
     if not shared:
         raise QrelnetError("splitting needs at least one shared vertex", code="invalid_partition")
     cm = connectivity_matrix(shared)
-    kd = _quotient_diagonals(k, shared, cm.order)
-    hd = _quotient_diagonals(h, shared, cm.order)
+    kt, kids = quotient_table(k, shared, cm)
+    ht, hids = quotient_table(h, shared, cm)
+    kd, hd = kt[:, kids], ht[:, hids]
     # Row sk, column sh is state sk * 2^|E_h| + sh, so flattening keeps k-major
     # order.  0/1 sides keep every partial sum within the absolute sum of
     # cm.scaled, which matrix_for_order bounds below int64.
     scaled = (kd.T @ (cm.scaled @ hd)).ravel()
     whole, rest = np.divmod(scaled, cm.denominator)
-    diag = [Fraction(x, cm.denominator) for x in scaled.tolist()] if rest.any() else whole.tolist()
-    return DiagonalOperator(k.num_edges + h.num_edges, tuple(diag))
+    if rest.any():
+        whole = np.array([Fraction(x, cm.denominator) for x in scaled.tolist()], dtype=object)
+    return DiagonalOperator(k.num_edges + h.num_edges, whole)
 
 
 def verify_split(k: Graph, h: Graph, shared) -> bool:
     """Exact entrywise check of the splitting against the direct operator."""
     assembled = split_operator(k, h, shared)
     direct = qr_operator(union_graph(k, h, shared))
-    return assembled.diag == direct.diag
+    return np.array_equal(assembled.diag, direct.diag)
 
 
 def qr_split_value(k: Graph, h: Graph, shared, psi_k: StateVector, psi_h: StateVector) -> float:
@@ -138,13 +172,7 @@ def qr_split_value(k: Graph, h: Graph, shared, psi_k: StateVector, psi_h: StateV
     if not shared:
         raise QrelnetError("splitting needs at least one shared vertex", code="invalid_partition")
     cm = connectivity_matrix(shared)
-    parts = cm.order
-    qk = [qr_value(qr_operator(quotient(k, shared, p)), psi_k) for p in parts]
-    qh = [qr_value(qr_operator(quotient(h, shared, p)), psi_h) for p in parts]
-    total = 0.0
-    for i, j, b in cm.weight_pairs():
-        total += float(b) * qk[i] * qh[j]
-    return total
+    return split_sum(cm, quotient_values(k, shared, cm, psi_k), quotient_values(h, shared, cm, psi_h))
 
 
 class BornEstimate(NamedTuple):
@@ -165,6 +193,8 @@ def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
         raise QrelnetError(f"sample count must be positive, got {n}", code="invalid_input")
     if n > np.iinfo(np.intp).max:
         raise CapacityError(f"sample count {n} exceeds {np.iinfo(np.intp).max}")
+    if seed < 0:
+        raise QrelnetError(f"seed must be non-negative, got {seed}", code="invalid_input")
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(psi.probabilities())
     draws = rng.random(n)

@@ -116,14 +116,13 @@ def enumerate_partitions(u) -> list[Partition]:
     return out
 
 
-def merge(p: Partition, q: Partition) -> Partition:
-    """Finest common coarsening of two partitions of the same ground set."""
-    gp, gq = p.ground_set(), q.ground_set()
-    if gp != gq:
-        raise QrelnetError("cannot merge partitions of different ground sets", code="ground_set_mismatch")
-    elems = sorted(gp)
-    index = {v: i for i, v in enumerate(elems)}
-    parent = list(range(len(elems)))
+def components(n: int, pairs) -> list[list[int]]:
+    """Groups of ``range(n)`` joined by the index ``pairs``, by union-find.
+
+    Each pair hangs the root of its second element under the root of its
+    first; groups are listed by their smallest member, members ascending.
+    """
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -131,17 +130,25 @@ def merge(p: Partition, q: Partition) -> Partition:
             x = parent[x]
         return x
 
-    for part in (p, q):
-        for block in part.blocks:
-            root = find(index[block[0]])
-            for v in block[1:]:
-                r = find(index[v])
-                if r != root:
-                    parent[r] = root
-    groups: dict[int, list[str]] = {}
-    for v in elems:
-        groups.setdefault(find(index[v]), []).append(v)
-    return Partition(tuple(tuple(g) for g in groups.values()))
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
+def merge(p: Partition, q: Partition) -> Partition:
+    """Finest common coarsening of two partitions of the same ground set."""
+    gp, gq = p.ground_set(), q.ground_set()
+    if gp != gq:
+        raise QrelnetError("cannot merge partitions of different ground sets", code="ground_set_mismatch")
+    elems = sorted(gp)
+    index = {v: i for i, v in enumerate(elems)}
+    pairs = [(index[block[0]], index[v]) for part in (p, q) for block in part.blocks for v in block[1:]]
+    return Partition(tuple(tuple(elems[i] for i in group) for group in components(len(elems), pairs)))
 
 
 def _labels(p: Partition, index: dict[str, int]) -> list[int]:

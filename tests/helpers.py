@@ -5,8 +5,9 @@ first search and networkx instead of frontier tables, block-graph closure
 instead of label union, pairwise merges and elimination instead of the
 Moebius closed form, rational loops instead of integer products, a per-state
 loop and the plain deletion/contraction recursion instead of vectorized
-enumeration and the frontier dynamic program) so agreement is evidence, not
-tautology.
+enumeration and the frontier dynamic program, one quotient graph per
+partition instead of one frontier pass per side) so agreement is evidence,
+not tautology.
 """
 
 from __future__ import annotations
@@ -203,15 +204,20 @@ def factorize_oracle(g: Graph, probs):
     return recurse(g, list(probs))
 
 
-def random_split(rng, num_shared: int, max_side_extra: int, max_total_edges: int):
-    """Random (k, h, shared) with vertex overlap exactly the shared set."""
+def random_split(rng, num_shared: int, max_side_extra: int, max_total_edges: int, *,
+                 min_side_edges: int = 1):
+    """Random (k, h, shared) with vertex overlap exactly the shared set.
+
+    Each side gets at least ``min_side_edges`` edges; extra vertices may be
+    left without any edge.
+    """
     shared = [f"s{i}" for i in range(num_shared)]
     k_extra = [f"k{i}" for i in range(rng.randint(0, max_side_extra))]
     h_extra = [f"h{i}" for i in range(rng.randint(0, max_side_extra))]
     k_verts = tuple(shared + k_extra)
     h_verts = tuple(shared + h_extra)
     total = rng.randint(2, max_total_edges)
-    nk = rng.randint(1, total - 1)
+    nk = rng.randint(min_side_edges, total - min_side_edges)
 
     def side_edges(verts, count):
         edges = []
@@ -301,8 +307,8 @@ def split_diag_fraction_loop(k: Graph, h: Graph, shared) -> list:
     parts = enumerate_partitions(shared)
     beta = invert_exact(pairwise_merge_alpha(parts))
     nb = len(parts)
-    kd = [qr_operator(quotient(k, shared, p)).diag for p in parts]
-    hd = [qr_operator(quotient(h, shared, p)).diag for p in parts]
+    kd = [qr_operator(quotient(k, shared, p)).diag.tolist() for p in parts]
+    hd = [qr_operator(quotient(h, shared, p)).diag.tolist() for p in parts]
     mid = [
         [sum(beta[i][j] * kd[i][sk] for i in range(nb) if kd[i][sk]) for sk in range(k.num_states)]
         for j in range(nb)
@@ -313,3 +319,31 @@ def split_diag_fraction_loop(k: Graph, h: Graph, shared) -> list:
         for sh in range(h.num_states):
             diag.append(sum(weights[j] for j in range(nb) if hd[j][sh]))
     return diag
+
+
+def quotient_loop(g: Graph, shared, value) -> list:
+    """``value(quotient(g, shared, p))`` for every partition ``p`` of ``shared``.
+
+    Canonical partition order, one quotient graph built and evaluated at a
+    time.
+    """
+    return [value(quotient(g, shared, p)) for p in enumerate_partitions(shared)]
+
+
+def split_terms_oracle(shared, left, right) -> list[tuple]:
+    """``(gamma, gamma', beta, float(beta) * left[i] * right[j])`` per nonzero weight.
+
+    Row by row over beta, here from elimination on the pairwise-merge alpha.
+    """
+    parts = enumerate_partitions(shared)
+    beta = invert_exact(pairwise_merge_alpha(parts))
+    return [(parts[i], parts[j], b, float(b) * left[i] * right[j])
+            for i, row in enumerate(beta) for j, b in enumerate(row) if b]
+
+
+def sum_in_order(values) -> float:
+    """Float sum strictly left to right, the same on every Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total

@@ -272,6 +272,12 @@ def test_sample_count_beyond_an_index_is_a_capacity_error(tmp_path):
     _assert_rejected(run_cli("sample", "--graph", g, "--state", s, "-n", str(10 ** 30)), "capacity")
 
 
+def test_negative_sample_seed_is_an_input_error(tmp_path):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    s = write_json(tmp_path, "s.json", {"type": "product", "qubits": [{"p": 0.5}]})
+    _assert_rejected(run_cli("sample", "--graph", g, "--state", s, "-n", "10", "--seed", "-1"), "invalid_input")
+
+
 def test_memory_error_is_a_capacity_error(tmp_path, monkeypatch):
     g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
     s = write_json(tmp_path, "s.json", {"type": "product", "qubits": [{"p": 0.5}]})

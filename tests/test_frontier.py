@@ -38,8 +38,8 @@ def _bfs_trace(g: Graph, u, state: int):
 
 def test_qr_operator_matches_bfs():
     for g in [*edge_case_graphs(21, 150, 6, 8), scrambled_k6()]:
-        expected = tuple(1 if bfs_is_connected(g, s) else 0 for s in range(g.num_states))
-        assert qr_operator(g).diag == expected
+        expected = [1 if bfs_is_connected(g, s) else 0 for s in range(g.num_states)]
+        assert qr_operator(g).diag.tolist() == expected
 
 
 def test_component_traces_and_o_gamma_match_bfs():
@@ -51,8 +51,8 @@ def test_component_traces_and_o_gamma_match_bfs():
         assert [finals[i] for i in ids.tolist()] == traces
         gammas = enumerate_partitions(u) if u else [Partition(())]
         for gamma in gammas:
-            expected = tuple(1 if t == gamma else 0 for t in traces)
-            assert o_gamma_operator(g, u, gamma).diag == expected
+            expected = [1 if t == gamma else 0 for t in traces]
+            assert o_gamma_operator(g, u, gamma).diag.tolist() == expected
 
 
 def test_float_enumeration_is_bit_identical_to_bfs_route():

@@ -9,9 +9,6 @@ from qrelnet import (
     Graph,
     Partition,
     QrelnetError,
-    WidthMismatchError,
-    active_subgraph,
-    canonical_form,
     component_partition,
     contract_edge,
     delete_edge,
@@ -99,7 +96,7 @@ def test_contract_and_delete_commute_on_distinct_edges():
         # Contract the later edge first so the earlier index is untouched.
         a = delete_edge(contract_edge(g, second), first)
         b = contract_edge(delete_edge(g, first), second - 1)
-        assert canonical_form(a, max_vertices=6) == canonical_form(b, max_vertices=6)
+        assert a == b
 
 
 def test_quotient_identity_under_singletons():
@@ -125,16 +122,7 @@ def test_quotient_validates_subset_and_cover():
 def test_vertex_partition_map_is_contiguous():
     g = triangle()
     vpm = vertex_partition_map(g, ("b", "c"), Partition((("b", "c"),)))
-    assert vpm.assignment == {"a": 0, "b": 1, "c": 1}
-
-
-def test_active_subgraph_picks_bits():
-    g = triangle()
-    sub = active_subgraph(g, 0b101)
-    assert sub.edges == (("a", "b"), ("b", "c"))
-    assert sub.vertices == g.vertices
-    with pytest.raises(WidthMismatchError):
-        active_subgraph(g, 8)
+    assert vpm == {"a": 0, "b": 1, "c": 1}
 
 
 def test_connectivity_conventions():
@@ -176,20 +164,3 @@ def test_component_partition_island_example():
     # c is stranded: no partition of u can ever absorb it.
     assert component_partition(g, ("a", "b"), 0b1) is None
     assert component_partition(g, ("a", "b", "c"), 0b1) == Partition((("a", "b"), ("c",)))
-
-
-def test_canonical_form_is_relabel_invariant():
-    rng = random.Random(13)
-    for _ in range(40):
-        g = random_graph(rng, 5, 6)
-        names = list(g.vertices)
-        rng.shuffle(names)
-        rename = dict(zip(g.vertices, names))
-        h = Graph(tuple(sorted(names)), tuple((rename[a], rename[b]) for a, b in g.edges))
-        assert canonical_form(g) == canonical_form(h)
-
-
-def test_canonical_form_cap():
-    g = Graph(tuple(f"v{i}" for i in range(9)), ())
-    with pytest.raises(CapacityError):
-        canonical_form(g)

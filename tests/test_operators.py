@@ -55,10 +55,10 @@ def k3():
 
 
 def test_qr_operator_small_fixtures():
-    assert qr_operator(g1()).diag == (0, 1)
-    assert qr_operator(g2()).diag == (0, 1, 1, 1)
+    assert qr_operator(g1()).diag.tolist() == [0, 1]
+    assert qr_operator(g2()).diag.tolist() == [0, 1, 1, 1]
     # Triangle: connected exactly when at least two edges survive.
-    assert qr_operator(k3()).diag == (0, 0, 0, 1, 0, 1, 1, 1)
+    assert qr_operator(k3()).diag.tolist() == [0, 0, 0, 1, 0, 1, 1, 1]
 
 
 def test_qr_operator_is_projector():
@@ -77,6 +77,22 @@ def test_diagonal_operator_validation():
     op = DiagonalOperator(1, (Fraction(1, 2), 1))
     assert not op.is_projector()
     assert np.allclose(op.as_float(), [0.5, 1.0])
+
+
+def test_diagonals_are_read_only_arrays():
+    k = Graph(("a", "b"), (("a", "b"),))
+    h = Graph(("a", "b", "c"), (("a", "c"), ("c", "b")))
+    u = ("a", "b")
+    cases = ((qr_operator(k3()), np.uint8), (o_gamma_operator(h, u, single_block(u)), np.uint8),
+             (split_operator(k, h, u), np.int64), (DiagonalOperator(1, (Fraction(1, 2), 1)), object))
+    for op, dtype in cases:
+        assert op.diag.dtype == dtype
+        with pytest.raises(ValueError):
+            op.diag[0] = 0
+    source = np.zeros(2, dtype=np.uint8)
+    op = DiagonalOperator(1, source)
+    source[0] = 1
+    assert op.diag.tolist() == [0, 0] and source.flags.writeable
 
 
 def test_qr_value_on_basis_states_is_diag_entry():
@@ -131,11 +147,11 @@ def test_extension_axiom_small():
 def test_o_gamma_spec_examples():
     edgeless = Graph(("1", "2"), ())
     u = ("1", "2")
-    assert o_gamma_operator(edgeless, u, singletons(u)).diag == (1,)
-    assert o_gamma_operator(edgeless, u, single_block(u)).diag == (0,)
+    assert o_gamma_operator(edgeless, u, singletons(u)).diag.tolist() == [1]
+    assert o_gamma_operator(edgeless, u, single_block(u)).diag.tolist() == [0]
     edge = Graph(("1", "2"), (("1", "2"),))
-    assert o_gamma_operator(edge, u, single_block(u)).diag == (0, 1)
-    assert o_gamma_operator(edge, u, singletons(u)).diag == (1, 0)
+    assert o_gamma_operator(edge, u, single_block(u)).diag.tolist() == [0, 1]
+    assert o_gamma_operator(edge, u, singletons(u)).diag.tolist() == [1, 0]
 
 
 def test_o_gamma_family_partitions_island_free_states():
@@ -186,7 +202,7 @@ def test_split_operator_single_shared_edge_fixture():
     k = Graph(("a", "b"), (("a", "b"),))
     h = Graph(("a", "b"), (("a", "b"),))
     op = split_operator(k, h, ["a", "b"])
-    assert op.diag == (0, 1, 1, 1)
+    assert op.diag.tolist() == [0, 1, 1, 1]
     assert verify_split(k, h, ["a", "b"])
 
 
@@ -195,7 +211,7 @@ def test_split_operator_k3_fixture():
     h = Graph(("a", "b", "c"), (("a", "c"), ("c", "b")))
     assert verify_split(k, h, ["a", "b"])
     direct = qr_operator(union_graph(k, h, ["a", "b"]))
-    assert split_operator(k, h, ["a", "b"]).diag == direct.diag
+    assert split_operator(k, h, ["a", "b"]).diag.tolist() == direct.diag.tolist()
 
 
 def test_split_operator_random_instances_exact():
@@ -210,7 +226,7 @@ def test_split_operator_matches_rational_loop_oracle():
     for num_shared in (1, 2, 3, 4):
         for _ in range(6):
             k, h, shared = random_split(rng, num_shared, 2, 8)
-            assert list(split_operator(k, h, shared).diag) == split_diag_fraction_loop(k, h, shared)
+            assert split_operator(k, h, shared).diag.tolist() == split_diag_fraction_loop(k, h, shared)
 
 
 def test_split_operator_values_are_zero_one():
