@@ -17,12 +17,10 @@ from .errors import (
 from .graphs import (
     MAX_EDGES,
     Graph,
-    component_partition,
     contract_edge,
     delete_edge,
     edge_state_from_text,
     edge_state_to_text,
-    is_connected,
     merged_name,
     quotient,
     vertex_partition_map,
@@ -54,12 +52,9 @@ from .partitions import (
     ConnectivityMatrix,
     Partition,
     bell_number,
-    beta_identities_check,
     connectivity_matrix,
     enumerate_partitions,
-    is_single_block,
     matrix_for_order,
-    merge,
     single_block,
     singletons,
 )
@@ -99,10 +94,8 @@ __all__ = [
     "SublayerResult",
     "WidthMismatchError",
     "bell_number",
-    "beta_identities_check",
     "born_sample",
     "canonical_decomposition",
-    "component_partition",
     "connectivity_matrix",
     "contract_edge",
     "delete_edge",
@@ -110,10 +103,7 @@ __all__ = [
     "edge_state_to_text",
     "enumerate_partitions",
     "hybrid_qr",
-    "is_connected",
-    "is_single_block",
     "matrix_for_order",
-    "merge",
     "merged_name",
     "o_gamma_operator",
     "product_state",

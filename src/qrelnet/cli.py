@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .classical import reliability_enumerate, reliability_factorize
 from .errors import CapacityError, QrelnetError
@@ -155,11 +156,13 @@ def _cmd_matrix(args) -> dict:
     else:
         check_matrix_size(args.m)  # before the name list, which a huge --m could not hold
         cm = connectivity_matrix([str(i) for i in range(1, args.m + 1)])
+    rows = cm.scaled.tolist()
+    text = {v: rational_text(Fraction(v, cm.denominator)) for v in set().union(*rows)}
     return {
         "m": args.m,
         "order": [partition_to_json(p) for p in cm.order],
-        "alpha": [list(row) for row in cm.alpha],
-        "beta": [[rational_text(x) for x in row] for row in cm.beta],
+        "alpha": cm.alpha.tolist(),
+        "beta": [list(map(text.__getitem__, row)) for row in rows],
     }
 
 

@@ -1,4 +1,4 @@
-"""Finite multigraphs with a stable edge order and their connectivity queries.
+"""Finite multigraphs with a stable edge order and their frontier connectivity.
 
 Edge ``i`` of a graph owns bit ``i`` of every edge-state bitmask, so a state
 is just an integer in ``range(2 ** num_edges)``.  The text form of a state
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, QrelnetError, WidthMismatchError
-from .partitions import Partition, components
+from .partitions import Partition
 
 # 2**24 basis states is the largest dense vector this package will touch.
 MAX_EDGES = 24
@@ -152,25 +152,6 @@ def contract_edge(g: Graph, e: int) -> Graph:
     return Graph(tuple(vertices), edges)
 
 
-def _vertex_index(g: Graph) -> dict[str, int]:
-    return {v: i for i, v in enumerate(g.vertices)}
-
-
-def _edge_index_pairs(g: Graph) -> list[tuple[int, int]]:
-    vi = _vertex_index(g)
-    return [(vi[a], vi[b]) for a, b in g.edges]
-
-
-def _components(num_vertices: int, pairs, state: int) -> list[list[int]]:
-    return components(num_vertices, (pair for i, pair in enumerate(pairs) if state >> i & 1))
-
-
-def is_connected(g: Graph, state: int) -> bool:
-    """Whether the active subgraph joins every vertex (loops never help)."""
-    check_state(g, state)
-    return len(_components(len(g.vertices), _edge_index_pairs(g), state)) <= 1
-
-
 def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition | None]]:
     """Compile ``g`` into per-edge transition tables over frontier partitions.
 
@@ -234,10 +215,12 @@ def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition 
 def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:
     """Component trace on ``u`` of every edge state at once, by frontier search.
 
-    Returns ``(ids, finals)`` with ``finals[ids[state]]`` equal to
-    ``component_partition(g, u, state)`` for every state.  Applies the
-    tables of :func:`frontier_tables` with one gather per edge and bit
-    value, with edge ``k`` on bit ``k`` of the state index.
+    Returns ``(ids, finals)``: ``finals[ids[state]]`` is the partition of
+    ``u`` whose blocks are the intersections of the active components with
+    ``u``, or ``None`` when some component misses ``u`` entirely (an island,
+    which no vertex merge can ever reconnect).  Applies the tables of
+    :func:`frontier_tables` with one gather per edge and bit value, with
+    edge ``k`` on bit ``k`` of the state index.
     """
     start, tables, finals = frontier_tables(g, u)
     ids = np.array([start], dtype=np.int32)
@@ -254,24 +237,3 @@ def connectivity_flags(g: Graph) -> np.ndarray:
     """
     ids, finals = component_traces(g, g.vertices[:1])
     return np.array([f is not None for f in finals], dtype=np.uint8)[ids]
-
-
-def component_partition(h: Graph, u, state: int) -> Partition | None:
-    """Trace of the active components on the subset ``u``.
-
-    Returns the partition of ``u`` whose blocks are the intersections of the
-    connected components with ``u``, or ``None`` when some component misses
-    ``u`` entirely (an island, which no vertex merge can ever reconnect).
-    """
-    check_state(h, state)
-    uset = set(u)
-    if not uset <= set(h.vertices):
-        raise QrelnetError("subset mentions a vertex not in the graph", code="invalid_partition")
-    blocks = []
-    for comp in _components(len(h.vertices), _edge_index_pairs(h), state):
-        inter = [h.vertices[x] for x in comp if h.vertices[x] in uset]
-        if not inter:
-            return None
-        blocks.append(tuple(inter))
-    return Partition(tuple(blocks))
-

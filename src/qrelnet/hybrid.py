@@ -152,12 +152,12 @@ def sublayer_qr(decomp: Decomposition, state: HybridState) -> SublayerResult:
         raise SublayerError("shared set of a sublayer must be the whole quantum vertex set")
 
     cm = connectivity_matrix(shared)
-    t = single_block(shared)
+    ti, den = cm.order.index(single_block(shared)), cm.denominator
     qk, rh = _quotient_reliabilities(decomp, state, cm)
     corrections = [
-        CorrectionTerm(cm.order[i], cm.order[j], b, float(b) * qk[i] * rh[j])
-        for i, j, b in cm.weight_pairs()
-        if cm.order[i] != t
+        CorrectionTerm(cm.order[i], cm.order[j], Fraction(n, den), n / den * qk[i] * rh[j])
+        for i, j, n in cm.weight_pairs()
+        if i != ti
     ]
     # Added one by one: the builtin sum is compensated from Python 3.12 on.
     extra = 0.0

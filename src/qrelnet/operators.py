@@ -107,7 +107,7 @@ def quotient_table(g: Graph, shared, cm: ConnectivityMatrix) -> tuple[np.ndarray
     ids, finals = component_traces(g, shared)
     index = {p: i for i, p in enumerate(cm.order)}
     table = np.zeros((len(cm.order), len(finals)), dtype=np.uint8)
-    table[:, 1:] = np.array(cm.alpha, dtype=np.uint8)[:, [index[f] for f in finals[1:]]]
+    table[:, 1:] = cm.alpha[:, [index[f] for f in finals[1:]]]
     return table, ids
 
 
@@ -118,10 +118,15 @@ def quotient_values(g: Graph, shared, cm: ConnectivityMatrix, psi: StateVector) 
 
 
 def split_sum(cm: ConnectivityMatrix, left, right) -> float:
-    """``sum of beta[i][j] * left[i] * right[j]`` in floats, in ``weight_pairs`` order."""
+    """``sum of beta[i][j] * left[i] * right[j]`` in floats, in ``weight_pairs`` order.
+
+    ``n / denominator`` is correctly rounded, so each weight has the bits of
+    ``float(beta[i][j])``.
+    """
+    den = cm.denominator
     total = 0.0
-    for i, j, b in cm.weight_pairs():
-        total += float(b) * left[i] * right[j]
+    for i, j, n in cm.weight_pairs():
+        total += n / den * left[i] * right[j]
     return total
 
 

@@ -13,7 +13,9 @@ the zeta matrix (Z[r][p] = 1 when r refines p) and D = diag(mu(r, top)),
 where mu(r, top) = (-1)^(k-1) (k-1)! for r with k blocks (Rota, 1964).  The
 inverse is then closed form, beta = M^T D^-1 M with M = Z^-1 the Moebius
 matrix, and (m-1)! clears every denominator, so alpha and beta * (m-1)! are
-int64 matrix products with no elimination.
+integer matrix products with no elimination.  Every partial sum of those
+products is an integer below 2**53, so they run exactly as float64 BLAS
+products (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from .errors import CapacityError, QrelnetError
 
 # Bell(8) = 4140 partitions: enumeration stays desk-scale.
 MAX_GROUND_SET = 8
-# Bell(7) = 877: two dense 877 x 877 int64 products build alpha and beta
-# in about 2.6 s on a 2-vCPU VM, and the CLI prints 769,129 rationals.  The
-# cap stays at 7 so `matrix --m 8` keeps its capacity error.
+# Bell(7) = 877: alpha and beta take about 0.16 s on a 2-vCPU VM, two dense
+# 877 x 877 float64 products included, and the CLI prints 769,129
+# rationals.  The cap stays at 7 so `matrix --m 8` keeps its capacity error.
 MAX_MATRIX_GROUND_SET = 7
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Largest bound on partial sums under which float64 products stay exact.
+_FLOAT64_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,6 @@ def single_block(u) -> Partition:
     return Partition((tuple(elems),))
 
 
-def is_single_block(p: Partition) -> bool:
-    return len(p.blocks) == 1
-
-
 def enumerate_partitions(u) -> list[Partition]:
     """All partitions of ``u`` in restricted-growth-string lexicographic order.
 
@@ -116,41 +116,6 @@ def enumerate_partitions(u) -> list[Partition]:
     return out
 
 
-def components(n: int, pairs) -> list[list[int]]:
-    """Groups of ``range(n)`` joined by the index ``pairs``, by union-find.
-
-    Each pair hangs the root of its second element under the root of its
-    first; groups are listed by their smallest member, members ascending.
-    """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return list(groups.values())
-
-
-def merge(p: Partition, q: Partition) -> Partition:
-    """Finest common coarsening of two partitions of the same ground set."""
-    gp, gq = p.ground_set(), q.ground_set()
-    if gp != gq:
-        raise QrelnetError("cannot merge partitions of different ground sets", code="ground_set_mismatch")
-    elems = sorted(gp)
-    index = {v: i for i, v in enumerate(elems)}
-    pairs = [(index[block[0]], index[v]) for part in (p, q) for block in part.blocks for v in block[1:]]
-    return Partition(tuple(tuple(elems[i] for i in group) for group in components(len(elems), pairs)))
-
-
 def _labels(p: Partition, index: dict[str, int]) -> list[int]:
     lab = [0] * len(index)
     for b, block in enumerate(p.blocks):
@@ -161,24 +126,28 @@ def _labels(p: Partition, index: dict[str, int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ConnectivityMatrix:
-    """Partition order, 0/1 connectivity matrix alpha, and its exact inverse beta.
+    """Partition order, the 0/1 connectivity matrix alpha, and its inverse.
 
-    ``scaled`` is beta times ``denominator`` as a read-only int64 array, for
-    exact integer contractions.
+    ``alpha`` is a read-only uint8 array.  The inverse beta is kept as
+    ``scaled``, beta times ``denominator``, a read-only int64 array; the
+    ``beta`` property builds its exact ``Fraction`` rows on demand.
     """
 
     order: tuple[Partition, ...]
-    alpha: tuple[tuple[int, ...], ...]
-    beta: tuple[tuple[Fraction, ...], ...]
+    alpha: np.ndarray = field(compare=False, repr=False)
     scaled: np.ndarray = field(compare=False, repr=False)
     denominator: int
 
-    def index_of(self, p: Partition) -> int:
-        return self.order.index(p)
+    @property
+    def beta(self) -> tuple[tuple[Fraction, ...], ...]:
+        rows = self.scaled.tolist()
+        weight = {v: Fraction(v, self.denominator) for v in set().union(*rows)}
+        return tuple(tuple(map(weight.__getitem__, row)) for row in rows)
 
     def weight_pairs(self):
-        """Yield ``(i, j, beta[i][j])`` for every nonzero weight, row by row."""
-        return ((i, j, b) for i, row in enumerate(self.beta) for j, b in enumerate(row) if b)
+        """Yield ``(i, j, n)`` for every nonzero ``beta[i][j] = n / denominator``, row by row."""
+        rows, cols = np.nonzero(self.scaled)
+        return zip(rows.tolist(), cols.tolist(), self.scaled[rows, cols].tolist())
 
 
 def bell_number(m: int) -> int:
@@ -214,8 +183,8 @@ def matrix_for_order(parts) -> ConnectivityMatrix:
     if len(set(parts)) != n or n != bell_number(m):
         raise QrelnetError("partition order must list every partition exactly once", code="invalid_partition")
     den = factorial(m - 1)
-    if n * den**3 > _INT64_MAX:
-        raise CapacityError(f"splitting weights for {m} elements overflow int64")
+    if n * den**3 > _FLOAT64_EXACT:
+        raise CapacityError(f"splitting weights for {m} elements overflow float64")
 
     # Block labels per element; canonical block order makes each row a
     # restricted growth string, so an element leads its block iff its label
@@ -241,11 +210,12 @@ def matrix_for_order(parts) -> ConnectivityMatrix:
     mobius[r, p] = np.prod(mu_of[inside], axis=1)
 
     # alpha = Z diag(mu(r, top)) Z^T and beta * den = M^T diag(den / mu(r, top)) M,
-    # every partial sum bounded by n * den**3 (checked above).
+    # every partial sum an integer bounded by n * den**3 (checked above), so
+    # the float64 products are exact.
     top = mu_of[blocks]
-    z = zeta.astype(np.int64)
-    alpha = (z * top) @ z.T
-    scaled = mobius.T @ ((den // top)[:, None] * mobius)
+    z, mf = zeta.astype(np.float64), mobius.astype(np.float64)
+    alpha = ((z * top) @ z.T).astype(np.int64)
+    scaled = (mf.T @ ((den // top)[:, None] * mf)).astype(np.int64)
 
     # Exactness probe in integers: alpha @ (beta @ x) must reproduce x.  Its
     # partial sums are bounded by n times the absolute sum of beta * den.
@@ -255,16 +225,10 @@ def matrix_for_order(parts) -> ConnectivityMatrix:
     if not np.array_equal(alpha @ (scaled @ x), den * x):
         raise QrelnetError("inverse verification failed", code="singular_matrix")
 
+    alpha = alpha.astype(np.uint8)
+    alpha.flags.writeable = False
     scaled.flags.writeable = False
-    rows = scaled.tolist()
-    weight = {v: Fraction(v, den) for v in set().union(*rows)}
-    return ConnectivityMatrix(
-        parts,
-        tuple(tuple(row) for row in alpha.tolist()),
-        tuple(tuple(map(weight.__getitem__, row)) for row in rows),
-        scaled,
-        den,
-    )
+    return ConnectivityMatrix(parts, alpha, scaled, den)
 
 
 def check_matrix_size(m: int) -> None:
@@ -277,21 +241,3 @@ def connectivity_matrix(u) -> ConnectivityMatrix:
     elems = set(u)
     check_matrix_size(len(elems))
     return matrix_for_order(enumerate_partitions(elems))
-
-
-def beta_identities_check(cm: ConnectivityMatrix) -> bool:
-    """Check the two exact identities satisfied by the inverse weights.
-
-    The row of the single-block partition is the indicator of the
-    all-singletons partition, and every row sums to zero except that same
-    single-block row, which sums to one.
-    """
-    ground = cm.order[0].ground_set()
-    t = single_block(ground)
-    f = singletons(ground)
-    ti = cm.index_of(t)
-    fi = cm.index_of(f)
-    n = len(cm.order)
-    row_ok = all(cm.beta[ti][j] == (1 if j == fi else 0) for j in range(n))
-    sums_ok = all(sum(cm.beta[i]) == (1 if i == ti else 0) for i in range(n))
-    return row_ok and sums_ok

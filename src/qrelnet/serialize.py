@@ -1,17 +1,18 @@
 """Wire formats: parsing of JSON inputs and byte-deterministic JSON output.
 
-Output never goes through ``json.dumps`` for containers: keys are emitted
-sorted, floats as 17-significant-digit shortest-round-trip text with a
-guaranteed decimal point, so identical inputs yield identical bytes on any
-platform.  Rationals are rendered as ``"p/q"`` strings (or a bare integer
-string when the denominator is one).
+Output never goes through ``json.dumps``: strings are escaped by the
+``json`` module's ASCII encoder, keys are emitted sorted, floats as
+17-significant-digit shortest-round-trip text with a guaranteed decimal
+point, so identical inputs yield identical bytes on any platform.
+Rationals are rendered as ``"p/q"`` strings (or a bare integer string when
+the denominator is one).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import CapacityError, QrelnetError, WidthMismatchError
 from .graphs import Graph, edge_state_from_text
@@ -35,7 +36,7 @@ def _write(value, emit) -> None:
     if value is None or value is True or value is False:
         emit("null" if value is None else ("true" if value else "false"))
     elif isinstance(value, str):
-        emit(json.dumps(value, ensure_ascii=True))
+        emit(encode_basestring_ascii(value))
     elif isinstance(value, int):
         emit(str(value))
     elif isinstance(value, float):
@@ -49,7 +50,7 @@ def _write(value, emit) -> None:
             if not first:
                 emit(",")
             first = False
-            emit(json.dumps(key, ensure_ascii=True))
+            emit(encode_basestring_ascii(key))
             emit(":")
             _write(value[key], emit)
         emit("}")

@@ -19,7 +19,17 @@ from fractions import Fraction
 
 import networkx as nx
 
-from qrelnet import Graph, Partition, contract_edge, delete_edge, enumerate_partitions, qr_operator, quotient
+from qrelnet import (
+    Graph,
+    Partition,
+    contract_edge,
+    delete_edge,
+    enumerate_partitions,
+    qr_operator,
+    quotient,
+    single_block,
+    singletons,
+)
 
 
 def bfs_is_connected(g: Graph, state: int) -> bool:
@@ -78,6 +88,15 @@ def bfs_components(g: Graph, state: int) -> list[set[str]]:
         unseen -= seen
         comps.append({g.vertices[i] for i in seen})
     return comps
+
+
+def bfs_trace(g: Graph, u, state: int) -> Partition | None:
+    """Component trace on ``u`` by breadth-first search; ``None`` on an island."""
+    uset = set(u)
+    comps = bfs_components(g, state)
+    if any(not (c & uset) for c in comps):
+        return None
+    return Partition(tuple(tuple(c & uset) for c in comps))
 
 
 def closure_merge(p: Partition, q: Partition) -> Partition:
@@ -297,6 +316,21 @@ def invert_exact(alpha: list[list[int]]) -> list[list[Fraction]]:
             m[i][k] = 0
         prev = pivot
     return [[Fraction(m[i][n + j], m[i][i]) for j in range(n)] for i in range(n)]
+
+
+def assert_beta_identities(cm) -> None:
+    """The two exact identities of the inverse weights, read on ``cm.scaled``.
+
+    With ``den = cm.denominator``, the single-block row is ``den`` times the
+    indicator of the all-singletons partition, and every row sums to zero
+    except that same row, which sums to ``den``.
+    """
+    ground = cm.order[0].ground_set()
+    ti = cm.order.index(single_block(ground))
+    fi = cm.order.index(singletons(ground))
+    den, n = cm.denominator, len(cm.order)
+    assert cm.scaled[ti].tolist() == [den if j == fi else 0 for j in range(n)]
+    assert cm.scaled.sum(axis=1).tolist() == [den if i == ti else 0 for i in range(n)]
 
 
 def split_diag_fraction_loop(k: Graph, h: Graph, shared) -> list:

@@ -16,7 +16,6 @@ from qrelnet import (
     Graph,
     HybridState,
     QubitSpec,
-    beta_identities_check,
     born_sample,
     canonical_decomposition,
     connectivity_matrix,
@@ -39,7 +38,7 @@ from qrelnet import (
 )
 from qrelnet.cli import main as cli_main
 
-from helpers import random_graph, random_probabilities, random_split
+from helpers import assert_beta_identities, random_graph, random_probabilities, random_split
 
 
 def _run(number, label, budget_seconds, fn):
@@ -344,6 +343,6 @@ def test_criterion_10_inverse_weight_identities():
     def check():
         for m in range(1, 7):
             cm = connectivity_matrix([str(i) for i in range(1, m + 1)])
-            assert beta_identities_check(cm)
+            assert_beta_identities(cm)
 
     _run(10, "inverse weight identities hold through six shared nodes", 60.0, check)

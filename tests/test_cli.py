@@ -1,9 +1,12 @@
 """End-to-end CLI checks: byte-stable stdout, JSON errors on stderr, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+
+import pytest
 
 from qrelnet.cli import main
 
@@ -89,6 +92,27 @@ def test_matrix_canonical_orders_match_library():
     assert payload["order"] == [[["1", "2"]], [["1"], ["2"]]]
     assert payload["alpha"] == [[1, 1], [1, 0]]
     assert payload["beta"] == [["0", "1"], ["1", "-1"]]
+
+
+# SHA-256 of the stdout of `matrix --m N`, and of `--m 3 --paper-order`.  The
+# output holds only integers and rationals, so the bytes are platform-free.
+MATRIX_SHA256 = {
+    ("1",): "cfa6f48c657e2b7daffca516496d7c0841bc7d19e119f258b969e55d56bc63f8",
+    ("2",): "7a1fc3668cd6fed11d4336bc9ab172d185d30aa86857d606d305e7513e7610da",
+    ("3",): "b4284cca5c8844d4d404ca50df06982f0d7b70c7176c8215718a58dc63e3f26c",
+    ("4",): "6cf3cd398982d6e046979d8db34b8502f45f3567fb8e74c7bf2e4300e834e9ab",
+    ("5",): "3411f25e84a5f8fb6d037d146499e9e58d6734bfd8f00bfebf27e21439f457c3",
+    ("6",): "5c8529cba1fd328883be865f7e6d2555f4d09a35c6a0b9add3eb940255fc88e2",
+    ("7",): "a33c97a8bc0ebafb7604404a8db454ebe38bcdfb3f52ec6a0482f59bec293aeb",
+    ("3", "--paper-order"): "8bbe71fbb154086b6381cc8a68f5a350e1998dc74b41d85fa999df86c0f4c784",
+}
+
+
+@pytest.mark.parametrize("args", sorted(MATRIX_SHA256), ids="_".join)
+def test_matrix_stdout_bytes_are_golden(args):
+    code, out, err = run_cli("matrix", "--m", *args)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MATRIX_SHA256[args]
 
 
 def test_split_verify(tmp_path):

@@ -1,9 +1,9 @@
-"""Property-based fuzzing of ``qrelnet reliability``, run in process.
+"""Property-based fuzzing of ``qrelnet reliability`` and ``split-verify``, in process.
 
-Any drawn graph JSON and ``--p`` text must either succeed, printing one
-canonical JSON line, or be rejected with exit 2: empty stdout and a single
-JSON error on stderr.  A traceback, an ``internal`` error or exit 1 fails.
-Both methods run on every input and must agree.
+Any drawn input must either succeed, printing one canonical JSON line, or be
+rejected with exit 2: empty stdout and a single JSON error on stderr.  A
+traceback, an ``internal`` error or exit 1 fails.  Both reliability methods
+run on every input and must agree, and every accepted split must be exact.
 """
 
 import json
@@ -109,3 +109,54 @@ def test_reliability_fuzz(data, exact):
     else:
         assert math.isclose(enum, factor, rel_tol=0, abs_tol=1e-12)
         assert -1e-12 <= enum <= 1 + 1e-12
+
+
+@st.composite
+def split_inputs(draw):
+    """Two graphs glued on a shared set, and a ``--shared`` text that may not name it.
+
+    The text may repeat names, name vertices in neither graph, leave some
+    shared vertex out, be empty, or list more than seven names; either graph
+    may also be malformed or overlap the other on an undeclared vertex.
+    """
+    shared = [f"s{i}" for i in range(draw(st.sampled_from([0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 8])))]
+    sides = []
+    for side in "kh":
+        vertices = shared + [f"{side}{i}" for i in range(draw(st.integers(0, 2)))]
+        if draw(st.integers(0, 9)) == 0:
+            vertices.append("common")
+        ends = st.lists(st.sampled_from(vertices), min_size=2, max_size=2)
+        edges = draw(st.lists(ends, max_size=6)) if vertices else []
+        graph = {"vertices": vertices, "edges": edges}
+        sides.append(draw(graphs()) if draw(st.integers(0, 9)) == 0 else graph)
+    names = list(shared)
+    flaw = draw(st.sampled_from(["none"] * 4 + ["repeat", "stranger", "drop", "empty", "shuffle"]))
+    if flaw == "repeat" and names:
+        names += draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+    elif flaw == "stranger":
+        names.append(draw(st.sampled_from(["z", "k0", "h0", "common", "s9"])))
+    elif flaw == "drop" and names:
+        names.remove(draw(st.sampled_from(names)))
+    elif flaw == "empty":
+        names = []
+    elif flaw == "shuffle":
+        names = draw(st.permutations(names))
+    return sides, draw(st.sampled_from([",", " , ", ",,"])).join(names)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inputs=split_inputs())
+def test_split_verify_fuzz(inputs):
+    (k, h), shared = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, graph in (("k.json", k), ("h.json", h)):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(graph, fh)
+        code, out, err = run_cli("split-verify", "--k", paths[0], "--h", paths[1], "--shared", shared)
+    assert code in (0, 2)
+    if code == 2:
+        _check_rejected(out, err)
+        return
+    assert (out, err) == ('{"equal":true,"schema":"qrelnet/1"}\n', "")

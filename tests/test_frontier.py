@@ -9,7 +9,6 @@ import random
 from fractions import Fraction
 
 from qrelnet import (
-    Graph,
     Partition,
     enumerate_partitions,
     o_gamma_operator,
@@ -20,20 +19,12 @@ from qrelnet import (
 from qrelnet.graphs import component_traces
 
 from helpers import (
-    bfs_components,
     bfs_is_connected,
+    bfs_trace,
     edge_case_graphs,
     enumerate_oracle,
     scrambled_k6,
 )
-
-
-def _bfs_trace(g: Graph, u, state: int):
-    uset = set(u)
-    comps = bfs_components(g, state)
-    if any(not (c & uset) for c in comps):
-        return None
-    return Partition(tuple(tuple(c & uset) for c in comps))
 
 
 def test_qr_operator_matches_bfs():
@@ -46,7 +37,7 @@ def test_component_traces_and_o_gamma_match_bfs():
     rng = random.Random(22)
     for g in [*edge_case_graphs(23, 120, 6, 7), scrambled_k6()]:
         u = [v for v in g.vertices if rng.random() < 0.5] or list(g.vertices[:1])
-        traces = [_bfs_trace(g, u, s) for s in range(g.num_states)]
+        traces = [bfs_trace(g, u, s) for s in range(g.num_states)]
         ids, finals = component_traces(g, u)
         assert [finals[i] for i in ids.tolist()] == traces
         gammas = enumerate_partitions(u) if u else [Partition(())]

@@ -1,4 +1,4 @@
-"""Graph construction, edit operations, and connectivity queries."""
+"""Graph construction, edit operations, and connectivity conventions."""
 
 import random
 
@@ -9,17 +9,18 @@ from qrelnet import (
     Graph,
     Partition,
     QrelnetError,
-    component_partition,
     contract_edge,
     delete_edge,
     edge_state_from_text,
     edge_state_to_text,
-    is_connected,
+    qr_operator,
     quotient,
     singletons,
     vertex_partition_map,
 )
-from helpers import bfs_components, bfs_is_connected, random_graph
+from qrelnet.graphs import component_traces
+
+from helpers import random_graph
 
 
 def triangle():
@@ -126,41 +127,17 @@ def test_vertex_partition_map_is_contiguous():
 
 
 def test_connectivity_conventions():
-    assert is_connected(Graph((), ()), 0)
-    assert is_connected(Graph(("a",), ()), 0)
-    assert not is_connected(Graph(("a", "b"), ()), 0)
+    assert qr_operator(Graph((), ())).diag.tolist() == [1]
+    assert qr_operator(Graph(("a",), ())).diag.tolist() == [1]
+    assert qr_operator(Graph(("a", "b"), ())).diag.tolist() == [0]
     loop_only = Graph(("a", "b"), (("a", "a"),))
-    assert not is_connected(loop_only, 1)
+    assert qr_operator(loop_only).diag.tolist() == [0, 0]
 
 
-def test_is_connected_matches_bfs_oracle():
-    rng = random.Random(7)
-    for _ in range(150):
-        g = random_graph(rng, 6, 7)
-        for state in range(g.num_states):
-            assert is_connected(g, state) == bfs_is_connected(g, state)
-
-
-def test_component_partition_matches_bfs_oracle():
-    rng = random.Random(11)
-    for _ in range(80):
-        g = random_graph(rng, 6, 6)
-        if not g.vertices:
-            continue
-        u = [v for v in g.vertices if rng.random() < 0.5]
-        if not u:
-            u = [g.vertices[0]]
-        for state in range(g.num_states):
-            comps = bfs_components(g, state)
-            if any(not (c & set(u)) for c in comps):
-                expected = None
-            else:
-                expected = Partition(tuple(tuple(sorted(c & set(u))) for c in comps))
-            assert component_partition(g, u, state) == expected
-
-
-def test_component_partition_island_example():
+def test_component_trace_island_example():
     g = Graph(("a", "b", "c"), (("a", "b"),))
     # c is stranded: no partition of u can ever absorb it.
-    assert component_partition(g, ("a", "b"), 0b1) is None
-    assert component_partition(g, ("a", "b", "c"), 0b1) == Partition((("a", "b"), ("c",)))
+    ids, finals = component_traces(g, ("a", "b"))
+    assert finals[ids[0b1]] is None
+    ids, finals = component_traces(g, ("a", "b", "c"))
+    assert finals[ids[0b1]] == Partition((("a", "b"), ("c",)))

@@ -18,11 +18,8 @@ from qrelnet import (
     StateVector,
     WidthMismatchError,
     born_sample,
-    component_partition,
     connectivity_matrix,
     enumerate_partitions,
-    is_connected,
-    merge,
     o_gamma_operator,
     product_state,
     qr_operator,
@@ -39,7 +36,15 @@ from qrelnet import (
     union_graph,
     verify_split,
 )
-from helpers import random_graph, random_probabilities, random_split, split_diag_fraction_loop
+from helpers import (
+    bfs_is_connected,
+    bfs_trace,
+    closure_merge,
+    random_graph,
+    random_probabilities,
+    random_split,
+    split_diag_fraction_loop,
+)
 
 
 def g1():
@@ -68,7 +73,7 @@ def test_qr_operator_is_projector():
         op = qr_operator(g)
         assert op.is_projector()
         for state in range(g.num_states):
-            assert op.diag[state] == (1 if is_connected(g, state) else 0)
+            assert op.diag[state] == (1 if bfs_is_connected(g, state) else 0)
 
 
 def test_diagonal_operator_validation():
@@ -162,7 +167,7 @@ def test_o_gamma_family_partitions_island_free_states():
         ops = [o_gamma_operator(h, u, gamma) for gamma in enumerate_partitions(u)]
         for state in range(h.num_states):
             hits = [op.diag[state] for op in ops]
-            island_free = component_partition(h, u, state) is not None
+            island_free = bfs_trace(h, u, state) is not None
             assert sum(hits) == (1 if island_free else 0)
 
 
@@ -181,9 +186,9 @@ def test_quotient_connectivity_matches_component_trace():
         for gamma in enumerate_partitions(u):
             hq = quotient(h, u, gamma)
             for state in range(h.num_states):
-                trace = component_partition(h, u, state)
-                expected = trace is not None and len(merge(trace, gamma).blocks) == 1
-                assert is_connected(hq, state) == expected
+                trace = bfs_trace(h, u, state)
+                expected = trace is not None and len(closure_merge(trace, gamma).blocks) == 1
+                assert bfs_is_connected(hq, state) == expected
 
 
 def test_union_graph_order_and_validation():

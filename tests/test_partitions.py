@@ -1,9 +1,10 @@
-"""Partition canonical form, enumeration order, merge, and the exact inverse."""
+"""Partition canonical form, enumeration order, and the exact inverse."""
 
 import functools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qrelnet import (
@@ -11,17 +12,15 @@ from qrelnet import (
     Partition,
     QrelnetError,
     bell_number,
-    beta_identities_check,
     connectivity_matrix,
     enumerate_partitions,
-    is_single_block,
     matrix_for_order,
-    merge,
     single_block,
     singletons,
 )
 from qrelnet.cli import M3_REFERENCE_ORDER
-from helpers import closure_merge, invert_exact, pairwise_merge_alpha
+from qrelnet.operators import split_sum
+from helpers import assert_beta_identities, invert_exact, pairwise_merge_alpha
 
 # Bell numbers 0..8, from the standard recurrence worked by hand.
 BELLS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -74,47 +73,19 @@ def test_enumerate_caps_and_empty():
         enumerate_partitions([str(i) for i in range(9)])
 
 
-def test_merge_examples():
-    u = ("1", "2", "3")
-    a = Partition((("1", "2"), ("3",)))
-    b = Partition((("1",), ("2", "3")))
-    assert merge(a, b) == single_block(u)
-    assert merge(a, singletons(u)) == a
-    assert merge(a, single_block(u)) == single_block(u)
-    assert merge(a, a) == a
-
-
-def test_merge_matches_closure_oracle():
-    rng = random.Random(41)
-    u = [f"e{i}" for i in range(5)]
-    parts = enumerate_partitions(u)
-    for _ in range(300):
-        p = rng.choice(parts)
-        q = rng.choice(parts)
-        assert merge(p, q) == closure_merge(p, q)
-
-
-def test_merge_rejects_ground_mismatch():
-    with pytest.raises(QrelnetError):
-        merge(singletons(("a", "b")), singletons(("a", "c")))
-
-
 def test_alpha_is_symmetric_with_unit_diagonal_only_at_single_block():
     cm = connectivity_matrix(["1", "2", "3", "4"])
-    n = len(cm.order)
-    for i in range(n):
-        for j in range(n):
-            assert cm.alpha[i][j] == cm.alpha[j][i]
-        assert cm.alpha[i][i] == (1 if is_single_block(cm.order[i]) else 0)
+    assert np.array_equal(cm.alpha, cm.alpha.T)
+    assert cm.alpha.diagonal().tolist() == [int(p.num_blocks == 1) for p in cm.order]
 
 
 def test_alpha_times_beta_is_identity_exactly():
     for m in range(1, 5):
         cm = connectivity_matrix([str(i) for i in range(m)])
-        n = len(cm.order)
+        n, beta = len(cm.order), cm.beta
         for i in range(n):
             for j in range(n):
-                got = sum(cm.beta[k][j] for k in range(n) if cm.alpha[i][k])
+                got = sum(beta[k][j] for k in range(n) if cm.alpha[i][k])
                 assert got == (1 if i == j else 0)
 
 
@@ -128,12 +99,13 @@ def test_matrix_for_order_accepts_any_permutation():
     perm = list(base.order)
     random.Random(5).shuffle(perm)
     cm = matrix_for_order(perm)
+    beta, base_beta = cm.beta, base.beta
     # Same bilinear form, just relabeled indices.
     for i, p in enumerate(cm.order):
         for j, q in enumerate(cm.order):
             bi, bj = base.order.index(p), base.order.index(q)
             assert cm.alpha[i][j] == base.alpha[bi][bj]
-            assert cm.beta[i][j] == base.beta[bi][bj]
+            assert beta[i][j] == base_beta[bi][bj]
 
 
 def test_matrix_for_order_rejects_incomplete_or_mixed():
@@ -153,7 +125,7 @@ def test_matrix_caps():
 
 def test_beta_identities_small():
     for m in range(1, 5):
-        assert beta_identities_check(connectivity_matrix([str(i) for i in range(m)]))
+        assert_beta_identities(connectivity_matrix([str(i) for i in range(m)]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,11 +141,10 @@ def _assert_matches_oracle(parts):
     where = [base.index(p) for p in parts]
     cm = matrix_for_order(parts)
     assert cm.order == tuple(parts)
-    assert [list(row) for row in cm.alpha] == pairwise_merge_alpha(parts)
+    assert cm.alpha.tolist() == pairwise_merge_alpha(parts)
     assert [list(row) for row in cm.beta] == [[beta[i][j] for j in where] for i in where]
-    assert all(type(x) is int for row in cm.alpha for x in row)
     assert all(type(x) is Fraction for row in cm.beta for x in row)
-    assert cm.scaled.tolist() == [[int(b * cm.denominator) for b in row] for row in cm.beta]
+    assert cm.scaled.tolist() == [[int(beta[i][j] * cm.denominator) for j in where] for i in where]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -190,5 +161,29 @@ def test_closed_form_matches_elimination_in_reference_order():
 
 def test_weight_pairs_are_the_nonzero_weights_row_major():
     cm = connectivity_matrix(["1", "2", "3", "4"])
-    expected = [(i, j, b) for i, row in enumerate(cm.beta) for j, b in enumerate(row) if b]
-    assert list(cm.weight_pairs()) == expected
+    expected = [(i, j, b * cm.denominator) for i, row in enumerate(cm.beta) for j, b in enumerate(row) if b]
+    pairs = list(cm.weight_pairs())
+    assert pairs == expected
+    assert all(type(x) is int for pair in pairs for x in pair)
+
+
+def test_weight_arrays_are_read_only_and_divide_to_fraction_bits():
+    for m in range(1, 8):
+        cm = connectivity_matrix([str(i) for i in range(1, m + 1)])
+        for array, dtype in ((cm.alpha, np.uint8), (cm.scaled, np.int64)):
+            assert array.dtype == dtype and not array.flags.writeable
+        for n in set(cm.scaled.ravel().tolist()):
+            assert (n / cm.denominator).hex() == float(Fraction(n, cm.denominator)).hex()
+
+
+def test_split_sum_weights_have_fraction_bits():
+    # At five shared vertices n * (1 / den) and n / den differ for n = 5.
+    cm = connectivity_matrix([str(i) for i in range(1, 6)])
+    beta, size = cm.beta, len(cm.order)
+    first = {}
+    for i, j, n in cm.weight_pairs():
+        first.setdefault(n, (i, j))
+    for i, j in first.values():
+        left = [float(k == i) for k in range(size)]
+        right = [float(k == j) for k in range(size)]
+        assert split_sum(cm, left, right).hex() == float(beta[i][j]).hex()
