@@ -28,7 +28,11 @@ def check_probabilities(probs) -> list:
     probs = list(probs)
     for x in probs:
         if not 0 <= x <= 1:
-            raise QrelnetError(f"edge probability {x} outside [0, 1]", code="invalid_probability")
+            try:
+                message = f"edge probability {x} outside [0, 1]"
+            except ValueError:  # past int's string-conversion digit limit
+                message = "edge probability outside [0, 1], with too many digits to print"
+            raise QrelnetError(message, code="invalid_probability")
     return probs
 
 

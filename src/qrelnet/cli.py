@@ -79,6 +79,14 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise QrelnetError(f"cannot read {path}: {exc}", code="unreadable_file") from None
+    except UnicodeDecodeError as exc:
+        raise QrelnetError(f"{path} is not UTF-8 text: {exc}", code="malformed_json") from None
+    except RecursionError:
+        raise QrelnetError(f"{path} nests deeper than the recursion limit", code="malformed_json") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer literal past int's string-conversion digit limit
+        raise CapacityError(f"{path} holds an integer with too many digits") from None
 
 
 def _split_shared(text: str) -> list[str]:

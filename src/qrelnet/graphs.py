@@ -152,6 +152,57 @@ def contract_edge(g: Graph, e: int) -> Graph:
     return Graph(tuple(vertices), edges)
 
 
+def _first_appearance(live: np.ndarray, num_labels: int) -> np.ndarray:
+    """Relabel every row by first appearance: ``[2, 0, 2, 1]`` becomes ``[0, 1, 0, 2]``.
+
+    Labels lie below ``num_labels``; one column at a time, a label seen for
+    the first time in its row takes the row's next number.
+    """
+    slots = np.arange(len(live))[:, None] * num_labels + live
+    rename = np.full(len(live) * num_labels, -1, dtype=np.int32)
+    count = np.zeros(len(live), dtype=np.int32)
+    key = np.empty_like(live)
+    for j in range(live.shape[1]):
+        slot = slots[:, j]
+        seen = rename[slot]
+        new = seen < 0
+        key[:, j] = rename[slot] = np.where(new, count, seen)
+        count += new
+    return key
+
+
+def _number_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of ``key`` from 1 in order of first appearance.
+
+    ``key`` is relabelled by first appearance, so column ``j`` holds at most
+    ``j`` and each row reads as a mixed-radix number with digit ``j`` of
+    radix ``j + 1``; columns are cut into chunks whose numbers fit int64.
+    One stable sort of those numbers puts each distinct row's first
+    occurrence at the head of its group.  Returns ``(ids, distinct)``:
+    ``ids[r]`` is the number of row ``r``, ``distinct`` one row per number.
+    """
+    bounds, weights, weight = [0], [], 1
+    for j in range(key.shape[1]):
+        if weight * (j + 1) > 2**63:
+            bounds.append(j)
+            weight = 1
+        weights.append(weight)
+        weight *= j + 1
+    bounds.append(key.shape[1])
+    codes = [key[:, a:b] @ np.array(weights[a:b], dtype=np.int64) for a, b in zip(bounds, bounds[1:])]
+    order = np.lexsort(codes)
+    ranked = np.array(codes)[:, order]
+    head = np.ones(len(key), dtype=bool)
+    head[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    firsts = order[head]
+    by_first = np.argsort(firsts)
+    number = np.empty(len(firsts), dtype=np.int32)
+    number[by_first] = np.arange(1, len(firsts) + 1, dtype=np.int32)
+    ids = np.empty(len(key), dtype=np.int32)
+    ids[order] = number[np.cumsum(head) - 1]
+    return ids, key[firsts[by_first]]
+
+
 def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition | None]]:
     """Compile ``g`` into per-edge transition tables over frontier partitions.
 
@@ -166,6 +217,11 @@ def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition 
     component trace on ``u`` of final state ``s`` (``None`` for the dead
     state).  Edge ``k`` meets at most ``2 ** k`` search states, so compiling
     never costs more than enumerating.
+
+    The states before an edge are one ``(S_k, width)`` matrix of component
+    labels, relabelled by first appearance; both successors of every state
+    are built at once, and new states are numbered by first appearance,
+    state by state, edge absent before edge present.
     """
     uset = set(u)
     if not uset <= set(g.vertices):
@@ -179,36 +235,38 @@ def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition 
     frontier = [v for v in g.vertices if v in uset]
     # A vertex outside ``u`` with no edge is an island in every state.
     stranded = any(v not in uset and v not in first for v in g.vertices)
-    states = {} if stranded else {tuple(range(len(frontier))): 1}
+    # Row i holds the labels of state i + 1, one column per frontier vertex.
+    labels = np.arange(len(frontier), dtype=np.int32).reshape(1, -1)[: 0 if stranded else 1]
     tables = []
     for k, (a, b) in enumerate(g.edges):
         grown = frontier + [v for v in dict.fromkeys((a, b)) if v not in uset and first[v] == k]
         ia, ib = grown.index(a), grown.index(b)
         leaving = [i for i in {ia, ib} if grown[i] not in uset and last[grown[i]] == k]
         kept = [i for i in range(len(grown)) if i not in leaving]
-        fresh = tuple(range(len(frontier), len(grown)))
-        table = np.zeros((2, len(states) + 1), dtype=np.int32)
-        nxt: dict[tuple, int] = {}
-        for labels, idx in states.items():
-            labels += fresh
-            x, y = labels[ia], labels[ib]
-            joined = tuple(x if lab == y else lab for lab in labels)
-            for bit, labs in enumerate((labels, joined)):
-                live = [labs[i] for i in kept]
-                if any(labs[i] not in live for i in leaving):
-                    continue
-                rename: dict[int, int] = {}
-                key = tuple(rename.setdefault(lab, len(rename)) for lab in live)
-                table[bit, idx] = nxt.setdefault(key, len(nxt) + 1)
+        n, width = len(labels), len(frontier)
+        # Row 2i is state i + 1 with the edge absent, row 2i + 1 with it present.
+        both = np.empty((n, 2, len(grown)), dtype=np.int32)
+        both[:, 0, :width] = labels
+        both[:, 0, width:] = np.arange(width, len(grown))
+        absent = both[:, 0]
+        both[:, 1] = np.where(absent == absent[:, ib, None], absent[:, ia, None], absent)
+        both = both.reshape(2 * n, len(grown))
+        live = both[:, kept]
+        alive = np.ones(2 * n, dtype=bool)
+        for i in leaving:
+            alive &= (live == both[:, i, None]).any(axis=1)
+        ids = np.zeros(2 * n, dtype=np.int32)
+        ids[alive], labels = _number_rows(_first_appearance(live[alive], len(grown)))
+        table = np.zeros((2, n + 1), dtype=np.int32)
+        table[:, 1:] = ids.reshape(n, 2).T
         tables.append(table)
-        states = nxt
         frontier = [grown[i] for i in kept]
-    finals: list[Partition | None] = [None] * (len(states) + 1)
-    for labels, idx in states.items():
+    finals: list[Partition | None] = [None]
+    for row in labels.tolist():
         blocks: dict[int, list[str]] = {}
-        for v, lab in zip(frontier, labels):
+        for v, lab in zip(frontier, row):
             blocks.setdefault(lab, []).append(v)
-        finals[idx] = Partition(tuple(tuple(b) for b in blocks.values()))
+        finals.append(Partition(tuple(tuple(b) for b in blocks.values())))
     return 0 if stranded else 1, tables, finals
 
 

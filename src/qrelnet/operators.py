@@ -202,7 +202,9 @@ def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
         raise QrelnetError(f"seed must be non-negative, got {seed}", code="invalid_input")
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(psi.probabilities())
-    draws = rng.random(n)
+    # The estimate counts flags, so the draws' order is free; sorted draws
+    # walk the cumulative table in one direction.
+    draws = np.sort(rng.random(n))
     states = np.searchsorted(cdf, draws, side="right")
     np.clip(states, 0, g.num_states - 1, out=states)
     flags = qr_operator(g).as_float()

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .errors import CapacityError, QrelnetError, WidthMismatchError
 from .graphs import Graph, edge_state_from_text
@@ -143,6 +146,25 @@ def _parse_complex(obj) -> complex:
         raise QrelnetError("complex part too large for a float", code="invalid_state") from None
 
 
+def _parse_amplitudes(values: list) -> np.ndarray:
+    """``[re, im]`` pairs as one complex128 array.
+
+    Three scans check that every entry is a list, of length two, of exact
+    ``int``s and ``float``s (no bools); one float64 conversion of the
+    flattened parts then has the bits of ``complex(re, im)``, signed zeros
+    included.  Anything else, or a part too large for a float, goes through
+    the per-entry decoder for its error.
+    """
+    if set(map(type, values)) == {list} and set(map(len, values)) == {2}:
+        parts = list(chain.from_iterable(values))
+        if set(map(type, parts)) <= {int, float}:
+            try:
+                return np.array(parts, dtype=np.float64).view(np.complex128)
+            except OverflowError:
+                pass
+    return np.array([_parse_complex(v) for v in values], dtype=np.complex128)
+
+
 def _parse_probability(x) -> float:
     _require(isinstance(x, (int, float)) and not isinstance(x, bool),
              "probabilities must be numbers", "invalid_probability")
@@ -196,8 +218,7 @@ def parse_state(obj, g: Graph) -> StateVector:
         _require(isinstance(values, list), "amplitudes state needs a 'values' list", "invalid_state")
         if len(values) != 1 << num_edges:
             raise WidthMismatchError(f"{len(values)} amplitudes for {num_edges} edges")
-        amps = [_parse_complex(v) * 1.0 for v in values]
-        return StateVector(num_edges, amps)
+        return StateVector(num_edges, _parse_amplitudes(values))
     raise QrelnetError(f"unknown state type {kind!r}", code="invalid_state")
 
 

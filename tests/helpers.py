@@ -6,8 +6,10 @@ instead of label union, pairwise merges and elimination instead of the
 Moebius closed form, rational loops instead of integer products, a per-state
 loop and the plain deletion/contraction recursion instead of vectorized
 enumeration and the frontier dynamic program, one quotient graph per
-partition instead of one frontier pass per side) so agreement is evidence,
-not tautology.
+partition instead of one frontier pass per side, a per-state dict walk
+instead of label arrays for the frontier compile, a per-entry decoder instead
+of one array conversion for amplitudes) so agreement is evidence, not
+tautology.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from collections import deque
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 from qrelnet import (
     Graph,
     Partition,
+    QrelnetError,
     contract_edge,
     delete_edge,
     enumerate_partitions,
@@ -381,3 +385,81 @@ def sum_in_order(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def frontier_tables_oracle(g: Graph, u):
+    """``frontier_tables`` by the per-state walk over label tuples and dict keys.
+
+    Search states are numbered by first appearance as their successors are
+    built, state by state, edge absent before edge present.
+    """
+    uset = set(u)
+    if not uset <= set(g.vertices):
+        raise QrelnetError("subset mentions a vertex not in the graph", code="invalid_partition")
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
+    for k, edge in enumerate(g.edges):
+        for v in edge:
+            first.setdefault(v, k)
+            last[v] = k
+    frontier = [v for v in g.vertices if v in uset]
+    stranded = any(v not in uset and v not in first for v in g.vertices)
+    states = {} if stranded else {tuple(range(len(frontier))): 1}
+    tables = []
+    for k, (a, b) in enumerate(g.edges):
+        grown = frontier + [v for v in dict.fromkeys((a, b)) if v not in uset and first[v] == k]
+        ia, ib = grown.index(a), grown.index(b)
+        leaving = [i for i in {ia, ib} if grown[i] not in uset and last[grown[i]] == k]
+        kept = [i for i in range(len(grown)) if i not in leaving]
+        fresh = tuple(range(len(frontier), len(grown)))
+        table = np.zeros((2, len(states) + 1), dtype=np.int32)
+        nxt: dict[tuple, int] = {}
+        for labels, idx in states.items():
+            labels += fresh
+            x, y = labels[ia], labels[ib]
+            joined = tuple(x if lab == y else lab for lab in labels)
+            for bit, labs in enumerate((labels, joined)):
+                live = [labs[i] for i in kept]
+                if any(labs[i] not in live for i in leaving):
+                    continue
+                rename: dict[int, int] = {}
+                key = tuple(rename.setdefault(lab, len(rename)) for lab in live)
+                table[bit, idx] = nxt.setdefault(key, len(nxt) + 1)
+        tables.append(table)
+        states = nxt
+        frontier = [grown[i] for i in kept]
+    finals: list[Partition | None] = [None] * (len(states) + 1)
+    for labels, idx in states.items():
+        blocks: dict[int, list[str]] = {}
+        for v, lab in zip(frontier, labels):
+            blocks.setdefault(lab, []).append(v)
+        finals[idx] = Partition(tuple(tuple(b) for b in blocks.values()))
+    return 0 if stranded else 1, tables, finals
+
+
+def horizontal_first_grid(rows: int, cols: int) -> Graph:
+    """Grid with every horizontal edge listed before any vertical one (a wide frontier)."""
+    name = lambda r, c: f"g{r}_{c}"
+    vertices = tuple(name(r, c) for r in range(rows) for c in range(cols))
+    edges = [(name(r, c), name(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(name(r, c), name(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Graph(vertices, tuple(edges))
+
+
+def amplitudes_oracle(values) -> np.ndarray:
+    """Decode ``[re, im]`` pairs one entry at a time, as ``complex(re, im)``.
+
+    Raises the parser's ``invalid_state`` errors: a malformed entry (not a
+    two-number list, or a bool) or a part too large for a float.
+    """
+    out = []
+    for obj in values:
+        ok = (isinstance(obj, list) and len(obj) == 2
+              and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj))
+        if not ok:
+            raise QrelnetError("complex numbers are [re, im] pairs", code="invalid_state")
+        try:
+            out.append(complex(obj[0], obj[1]))
+        except OverflowError:
+            raise QrelnetError("complex part too large for a float", code="invalid_state") from None
+    return np.array(out, dtype=np.complex128)

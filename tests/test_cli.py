@@ -325,3 +325,39 @@ def test_exact_probability_exponents_are_capped(tmp_path):
 def test_exact_value_too_long_to_print_is_a_capacity_error(tmp_path):
     g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]})
     _assert_rejected(run_cli("reliability", "--graph", g, "--p", "1e-2200,1e-2200", "--exact"), "capacity")
+
+
+def test_damaged_json_files_are_input_errors(tmp_path):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    long_int = tmp_path / "long.json"
+    long_int.write_text('{"type": "product", "qubits": [{"p": ' + "1" * 5000 + "}]}", encoding="utf-8")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    not_utf8 = tmp_path / "bytes.json"
+    not_utf8.write_bytes(b'\xff\xfe{"type": "product"}')
+    for path, code_name in ((long_int, "capacity"), (deep, "malformed_json"), (not_utf8, "malformed_json")):
+        _assert_rejected(run_cli("qr", "--graph", g, "--state", str(path)), code_name)
+        _assert_rejected(run_cli("reliability", "--graph", str(path), "--p", "0.5"), code_name)
+
+
+def test_recursion_outside_the_input_stays_internal(tmp_path, monkeypatch):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    s = write_json(tmp_path, "s.json", {"type": "product", "qubits": [{"p": 0.5}]})
+
+    def runaway(*args):
+        raise RecursionError
+
+    monkeypatch.setattr("qrelnet.cli.qr_value", runaway)
+    code, out, err = run_cli("qr", "--graph", g, "--state", s)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"code": "internal", "message": "recursion limit hit"}
+
+
+def test_exact_probability_too_long_to_print_is_an_input_error(tmp_path):
+    g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+    for p in ("--p=1e4300", "--p=-1e4300", "--p=12e4299"):
+        _assert_rejected(run_cli("reliability", "--graph", g, p, "--exact"), "invalid_probability")
+    code, out, err = run_cli("reliability", "--graph", g, "--p", "3/2", "--exact")
+    assert (code, out) == (2, "")
+    assert err == ('{"error":{"code":"invalid_probability","message":"edge probability 3/2 outside '
+                   '[0, 1]"},"schema":"qrelnet/1"}\n')

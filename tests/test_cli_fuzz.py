@@ -1,9 +1,13 @@
-"""Property-based fuzzing of ``qrelnet reliability`` and ``split-verify``, in process.
+"""Property-based fuzzing of every ``qrelnet`` subcommand, in process.
 
 Any drawn input must either succeed, printing one canonical JSON line, or be
 rejected with exit 2: empty stdout and a single JSON error on stderr.  A
 traceback, an ``internal`` error or exit 1 fails.  Both reliability methods
 run on every input and must agree, and every accepted split must be exact.
+Input files take damage at two levels: in the decoded object (a bool, a
+ragged pair, a huge or overlong integer, any JSON value in place of any
+entry) and in the file itself (deep nesting, bytes that are not UTF-8, a
+cut-off text).
 """
 
 import json
@@ -14,6 +18,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from qrelnet.serialize import dumps_canonical
 
 from test_cli import run_cli
 
@@ -160,3 +166,177 @@ def test_split_verify_fuzz(inputs):
         _check_rejected(out, err)
         return
     assert (out, err) == ('{"equal":true,"schema":"qrelnet/1"}\n', "")
+
+
+# Stands in the decoded object for an integer literal of 5,000 digits, which
+# ``json.dumps`` itself refuses to write; the file text gets the literal.
+LONG_INTEGER = "<long integer>"
+BAD_ENTRIES = st.one_of(
+    st.booleans(),
+    st.lists(st.floats(-1, 1), max_size=3),
+    st.sampled_from([LONG_INTEGER, 10 ** 400, -(2 ** 1024), 2 ** 63 + 1, -0.0, math.nan, math.inf, "0.5", None]),
+    JSON_VALUES,
+)
+
+
+def _slots(obj):
+    """Every ``(container, key)`` position inside a decoded JSON value."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, list):
+        items = list(enumerate(obj))
+    else:
+        return
+    for key, value in items:
+        yield obj, key
+        yield from _slots(value)
+
+
+@st.composite
+def damaged_file(draw, obj):
+    """File bytes for ``obj``, often intact, otherwise damaged in the object or the text."""
+    if draw(st.integers(0, 3)) == 0:
+        slots = list(_slots(obj))
+        if slots:
+            container, key = draw(st.sampled_from(slots))
+            container[key] = draw(BAD_ENTRIES)
+        else:
+            obj = draw(BAD_ENTRIES)
+    text = json.dumps(obj).replace(json.dumps(LONG_INTEGER), "1" * 5000)
+    damage = draw(st.sampled_from(["none"] * 6 + ["nest", "bytes", "cut"]))
+    if damage == "nest":
+        depth = draw(st.sampled_from([3, 5000, 100_000]))
+        text = "[" * depth + text + "]" * depth
+    elif damage == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    data = text.encode("utf-8")
+    if damage == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xff\xfe", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+@st.composite
+def state_objects(draw, num_edges: int):
+    """A product, two-term or amplitude state, usually one qubit per edge."""
+    width = num_edges if draw(st.integers(0, 9)) else draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["product", "two_term", "amplitudes"]))
+    if kind == "product":
+        qubits = []
+        for _ in range(width):
+            qubit = {"p": draw(st.floats(0, 1) | st.sampled_from([0, 1]))}
+            if draw(st.booleans()):
+                t = draw(st.floats(0, 2 * math.pi))
+                qubit["phase"] = [math.cos(t), math.sin(t)]
+            qubits.append(qubit)
+        return {"type": "product", "qubits": qubits}
+    if kind == "two_term":
+        zeta = draw(st.text("01", min_size=width, max_size=width))
+        chi = zeta
+        if width and draw(st.integers(0, 9)):
+            at = draw(st.integers(0, width - 1))
+            chi = zeta[:at] + "10"[int(zeta[at])] + zeta[at + 1:]
+        return {"type": "two_term", "zeta": zeta, "chi": chi, "p": draw(st.floats(0, 1))}
+    size = 1 << width
+    if draw(st.booleans()):
+        # A basis state written with integers and signed zeros.
+        values = [[0, -0.0] for _ in range(size)]
+        values[draw(st.integers(0, size - 1))] = draw(st.sampled_from([[1, 0], [0, -1], [-1, 0.0]]))
+    else:
+        raw = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=size, max_size=size))
+        norm = math.sqrt(sum(a * a + b * b for a, b in raw)) or 1.0
+        values = [[a / norm, b / norm] for a, b in raw]
+    return {"type": "amplitudes", "values": values}
+
+
+def _write(tmp: str, name: str, data: bytes) -> str:
+    path = os.path.join(tmp, name)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+def _outcome(result):
+    """The payload of an accepted run, or ``None`` for a clean rejection."""
+    code, out, err = result
+    assert code in (0, 2)
+    if code == 2:
+        _check_rejected(out, err)
+        return None
+    assert err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert dumps_canonical(payload) + "\n" == out
+    return payload
+
+
+@st.composite
+def connected_graphs(draw):
+    """Well-formed multigraphs with at least one edge, for the state-driven commands."""
+    vertices = draw(st.lists(NAMES, unique=True, min_size=1, max_size=5))
+    ends = st.lists(st.sampled_from(vertices), min_size=2, max_size=2)
+    return {"vertices": vertices, "edges": draw(st.lists(ends, min_size=1, max_size=6))}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_qr_and_sample_fuzz(data):
+    graph = data.draw(graphs() if data.draw(st.integers(0, 4)) == 0 else connected_graphs())
+    edges = graph.get("edges") if isinstance(graph, dict) else None
+    state = data.draw(state_objects(len(edges) if isinstance(edges, list) else 1))
+    graph_bytes = data.draw(damaged_file(graph)) if data.draw(st.integers(0, 4)) == 0 else json.dumps(graph).encode()
+    state_bytes = data.draw(damaged_file(state))
+    n = data.draw(st.integers(1, 500))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    with tempfile.TemporaryDirectory() as tmp:
+        g, s = _write(tmp, "g.json", graph_bytes), _write(tmp, "s.json", state_bytes)
+        qr = _outcome(run_cli("qr", "--graph", g, "--state", s))
+        sample = _outcome(run_cli("sample", "--graph", g, "--state", s, "-n", str(n), "--seed", str(seed)))
+    assert (qr is None) == (sample is None)
+    if qr is not None:
+        assert -1e-9 <= qr["value"] <= 1 + 1e-9
+        assert sample["n"] == n and sample["seed"] == seed and 0 <= sample["estimate"] <= 1
+
+
+@st.composite
+def hybrid_inputs(draw):
+    """A tagged graph and a hybrid state over its quantum and classical edges."""
+    vertices = draw(st.lists(NAMES, unique=True, min_size=1, max_size=5))
+    edge = st.fixed_dictionaries({
+        "endpoints": st.lists(st.sampled_from(vertices), min_size=2, max_size=2),
+        "kind": st.sampled_from(["quantum", "classical"]),
+    })
+    edges = draw(st.lists(edge, max_size=7))
+    graph = {"vertices": vertices, "edges": edges}
+    num_quantum = sum(e["kind"] == "quantum" for e in edges)
+    num_classical = len(edges) - num_quantum if draw(st.integers(0, 9)) else draw(st.integers(0, 3))
+    state = {
+        "quantum": draw(state_objects(num_quantum)),
+        "classical": draw(st.lists(st.floats(0, 1), min_size=num_classical, max_size=num_classical)),
+    }
+    graph_bytes = draw(damaged_file(graph)) if draw(st.integers(0, 4)) == 0 else json.dumps(graph).encode()
+    return graph_bytes, draw(damaged_file(state))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inputs=hybrid_inputs())
+def test_hybrid_and_sublayer_fuzz(inputs):
+    graph_bytes, state_bytes = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        g, s = _write(tmp, "g.json", graph_bytes), _write(tmp, "s.json", state_bytes)
+        hybrid = _outcome(run_cli("hybrid", "--graph", g, "--state", s))
+        sublayer = _outcome(run_cli("sublayer", "--graph", g, "--state", s))
+    if hybrid is not None:
+        assert -1e-9 <= hybrid["value"] <= 1 + 1e-9
+    if hybrid is not None and sublayer is not None:
+        assert math.isclose(sublayer["total"], hybrid["value"], rel_tol=0, abs_tol=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["8", str(10 ** 30), "3.0", "", " 3"]),
+                   st.text(max_size=3)),
+       paper_order=st.booleans())
+def test_matrix_fuzz(m, paper_order):
+    payload = _outcome(run_cli("matrix", "--m", m, *(["--paper-order"] if paper_order else [])))
+    if payload is not None:
+        assert payload["m"] == int(m) and len(payload["alpha"]) == len(payload["order"])

@@ -2,13 +2,17 @@
 
 Every all-states connectivity user (``qr_operator``, ``o_gamma_operator``,
 ``reliability_enumerate``) runs on the engine; the per-state breadth-first
-searches in ``helpers`` are the slow route it replaced.
+searches in ``helpers`` are the slow route it replaced.  The compile itself
+is checked table for table against the per-state dict walk it replaced.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from qrelnet import (
+    Graph,
     Partition,
     enumerate_partitions,
     o_gamma_operator,
@@ -16,13 +20,15 @@ from qrelnet import (
     reliability_enumerate,
     reliability_factorize,
 )
-from qrelnet.graphs import component_traces
+from qrelnet.graphs import component_traces, frontier_tables
 
 from helpers import (
     bfs_is_connected,
     bfs_trace,
     edge_case_graphs,
     enumerate_oracle,
+    frontier_tables_oracle,
+    horizontal_first_grid,
     scrambled_k6,
 )
 
@@ -58,3 +64,22 @@ def test_exact_enumeration_equals_factorization():
     for g in edge_case_graphs(27, 80, 5, 7):
         probs = [Fraction(rng.randint(0, 8), 8) for _ in range(g.num_edges)]
         assert reliability_enumerate(g, probs) == reliability_factorize(g, probs)
+
+
+def test_frontier_tables_equal_the_per_state_compile():
+    rng = random.Random(28)
+    # Twenty-six vertices kept live: the row numbers span two int64 chunks.
+    wide = Graph(tuple(f"w{i:02d}" for i in range(26)),
+                 (("w00", "w25"), ("w03", "w21"), ("w21", "w25"), ("w10", "w10"), ("w24", "w00")))
+    graphs = [*edge_case_graphs(29, 150, 6, 9), scrambled_k6(), horizontal_first_grid(3, 4),
+              horizontal_first_grid(2, 6), wide]
+    for g in graphs:
+        subsets = (g.vertices[:1], [v for v in g.vertices if rng.random() < 0.5], g.vertices, ())
+        for u in subsets:
+            start, tables, finals = frontier_tables(g, u)
+            expected_start, expected_tables, expected_finals = frontier_tables_oracle(g, u)
+            assert (start, finals) == (expected_start, expected_finals)
+            assert len(tables) == len(expected_tables)
+            for table, expected in zip(tables, expected_tables):
+                assert table.dtype == expected.dtype
+                assert np.array_equal(table, expected)

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrelnet import Graph, QrelnetError, WidthMismatchError, canonical_decomposition
 from qrelnet.serialize import (
+    _parse_amplitudes,
     dumps_canonical,
     parse_graph,
     parse_hybrid_state,
@@ -17,6 +20,8 @@ from qrelnet.serialize import (
     parse_tagged_graph,
     rational_text,
 )
+
+from helpers import amplitudes_oracle
 
 
 def test_dumps_sorts_keys_and_formats_floats():
@@ -147,3 +152,52 @@ def test_parse_probability_list():
         parse_probability_list("x", exact=False)
     with pytest.raises(QrelnetError):
         parse_probability_list("1/0", exact=True)
+
+
+def _decoded(decode, values):
+    """Bits of the decoded amplitudes, or the (code, message) of the rejection."""
+    try:
+        return decode(values).view(np.uint64).tolist()
+    except QrelnetError as exc:
+        return exc.code, str(exc)
+
+
+PARTS = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.sampled_from([-0.0, 0.0, 2 ** 53 + 1, 2 ** 63 + 1, -(2 ** 64 + 1), 10 ** 300, 10 ** 400,
+                     2 ** 1024 - 2 ** 970 - 1, 2 ** 1024 - 2 ** 970]),
+)
+ENTRIES = st.one_of(
+    st.lists(PARTS, min_size=2, max_size=2),
+    st.lists(PARTS, max_size=3),
+    st.sampled_from([True, False, None, "1", [True, 0], [0, False], [1.0, "0"], [[1], 0], {"re": 1}]),
+)
+
+
+def test_amplitudes_keep_the_per_entry_bits():
+    cases = [
+        [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1, 0]],
+        [[1, 2], [-3, 0], [0, -7], [2 ** 53 + 1, 2 ** 63 + 1]],
+        [[10 ** 300, -(10 ** 300)], [0.5, 1], [-(2 ** 63 + 1), 2 ** 53 + 1], [1e-320, -5e-324]],
+    ]
+    for values in cases:
+        decoded = _decoded(_parse_amplitudes, values)
+        assert decoded == _decoded(amplitudes_oracle, values)
+        assert isinstance(decoded, list)
+    psi = parse_state({"type": "amplitudes", "values": [[0, -0.0], [-1, 0.0]]}, Graph(("a", "b"), (("a", "b"),)))
+    assert psi.amplitudes.view(np.uint64).tolist() == amplitudes_oracle([[0, -0.0], [-1, 0.0]]).view(np.uint64).tolist()
+
+
+def test_amplitude_errors_keep_the_per_entry_code_and_message():
+    for bad in ([10 ** 400, 0], [0, -(2 ** 1024)], [True, 0], [0, None], [1.0], [1, 2, 3], "x", None):
+        values = [[1, 0], [0, 0], bad, [0, 0]]
+        decoded = _decoded(_parse_amplitudes, values)
+        assert decoded == _decoded(amplitudes_oracle, values)
+        assert decoded[0] == "invalid_state"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(ENTRIES, min_size=1, max_size=6))
+def test_amplitude_decoding_matches_the_per_entry_oracle(values):
+    assert _decoded(_parse_amplitudes, values) == _decoded(amplitudes_oracle, values)
