@@ -12,12 +12,14 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .classical import reliability_enumerate, reliability_factorize
+# Before anything in this process imports numpy: OpenBLAS reads this once,
+# when it loads.  One thread costs qrelnet nothing (its BLAS work is small)
+# and saves starting a worker pool on every run; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import CapacityError, QrelnetError
-from .graphs import MAX_EDGES, Graph
-from .hybrid import canonical_decomposition, hybrid_qr, sublayer_qr
-from .operators import born_sample, qr_operator, qr_value, verify_split
 from .partitions import Partition, check_matrix_size, connectivity_matrix, matrix_for_order
 from .serialize import (
     SCHEMA,
@@ -30,6 +32,9 @@ from .serialize import (
     partition_to_json,
     rational_text,
 )
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 # Reference ordering for the partitions of three elements: singletons
 # first, pair merges, single block last.
@@ -54,6 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _edge_cap() -> int:
+    from .graphs import MAX_EDGES
+
     raw = os.environ.get(ENV_CAP)
     if raw is None:
         return MAX_EDGES
@@ -96,7 +103,11 @@ def _split_shared(text: str) -> list[str]:
     return names
 
 
+# Each command imports the modules it runs beyond ``partitions`` and
+# ``serialize``, so one start loads no others.
 def _cmd_reliability(args) -> dict:
+    from .classical import reliability_enumerate, reliability_factorize
+
     g = parse_graph(_load_json(args.graph))
     _check_cap(g)
     probs = parse_probability_list(args.p, args.exact)
@@ -106,6 +117,8 @@ def _cmd_reliability(args) -> dict:
 
 
 def _cmd_qr(args) -> dict:
+    from .operators import qr_operator, qr_value
+
     g = parse_graph(_load_json(args.graph))
     _check_cap(g)
     psi = parse_state(_load_json(args.state), g)
@@ -113,6 +126,8 @@ def _cmd_qr(args) -> dict:
 
 
 def _cmd_split_verify(args) -> dict:
+    from .operators import verify_split
+
     k = parse_graph(_load_json(args.k))
     h = parse_graph(_load_json(args.h))
     _check_cap(k, h)
@@ -121,6 +136,8 @@ def _cmd_split_verify(args) -> dict:
 
 
 def _cmd_hybrid(args) -> dict:
+    from .hybrid import canonical_decomposition, hybrid_qr
+
     g, kinds = parse_tagged_graph(_load_json(args.graph))
     _check_cap(g)
     decomp = canonical_decomposition(g, kinds)
@@ -129,6 +146,8 @@ def _cmd_hybrid(args) -> dict:
 
 
 def _cmd_sublayer(args) -> dict:
+    from .hybrid import canonical_decomposition, sublayer_qr
+
     g, kinds = parse_tagged_graph(_load_json(args.graph))
     _check_cap(g)
     decomp = canonical_decomposition(g, kinds)
@@ -147,6 +166,8 @@ def _cmd_sublayer(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
+    from .operators import born_sample
+
     g = parse_graph(_load_json(args.graph))
     _check_cap(g)
     psi = parse_state(_load_json(args.state), g)

@@ -14,14 +14,19 @@ import math
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapacityError, QrelnetError, WidthMismatchError
-from .graphs import Graph, edge_state_from_text
-from .hybrid import CLASSICAL, QUANTUM, Decomposition, HybridState
 from .partitions import Partition
-from .states import QubitSpec, StateVector, product_state, two_term_state
+
+# The parsers import the modules of the objects they build, so writing
+# output loads none of them.
+if TYPE_CHECKING:
+    from .graphs import Graph
+    from .hybrid import Decomposition, HybridState
+    from .states import StateVector
 
 SCHEMA = "qrelnet/1"
 
@@ -58,12 +63,19 @@ def _write(value, emit) -> None:
             _write(value[key], emit)
         emit("}")
     elif isinstance(value, (list, tuple)):
-        emit("[")
-        for i, item in enumerate(value):
-            if i:
-                emit(",")
-            _write(item, emit)
-        emit("]")
+        # Lists of exact strs or exact ints (no bools) are one join each:
+        # the bulk of a large output, such as a connectivity matrix.
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {int}:
+            item_text = encode_basestring_ascii if str in kinds else str
+            emit("[" + ",".join(map(item_text, value)) + "]")
+        else:
+            emit("[")
+            for i, item in enumerate(value):
+                if i:
+                    emit(",")
+                _write(item, emit)
+            emit("]")
     else:
         raise QrelnetError(f"cannot serialize {type(value).__name__}", code="invalid_input")
 
@@ -95,6 +107,8 @@ def _require(cond: bool, message: str, code: str = "invalid_input") -> None:
 
 def parse_graph(obj) -> Graph:
     """Graph from ``{"vertices": [...], "edges": [[a, b], ...]}``."""
+    from .graphs import Graph
+
     _require(isinstance(obj, dict), "graph must be a JSON object", "invalid_graph")
     _require("vertices" in obj and "edges" in obj, "graph needs 'vertices' and 'edges'", "invalid_graph")
     verts = obj["vertices"]
@@ -116,6 +130,9 @@ def parse_tagged_graph(obj) -> tuple[Graph, list[str]]:
     Edges look like ``{"endpoints": [a, b], "kind": "quantum"}``; every edge
     must be tagged.
     """
+    from .graphs import Graph
+    from .hybrid import CLASSICAL, QUANTUM
+
     _require(isinstance(obj, dict), "graph must be a JSON object", "invalid_graph")
     _require("vertices" in obj and "edges" in obj, "graph needs 'vertices' and 'edges'", "invalid_graph")
     verts = obj["vertices"]
@@ -183,6 +200,9 @@ def parse_state(obj, g: Graph) -> StateVector:
     strings; or ``{"type": "amplitudes", "values": [[re, im], ...]}`` with
     one entry per basis state.  ``phase`` defaults to ``[1, 0]``.
     """
+    from .graphs import edge_state_from_text
+    from .states import QubitSpec, StateVector, product_state, two_term_state
+
     num_edges = g.num_edges
     _require(isinstance(obj, dict) and "type" in obj, "state must be an object with a 'type'", "invalid_state")
     kind = obj["type"]
@@ -228,6 +248,8 @@ def parse_hybrid_state(obj, decomp: Decomposition) -> HybridState:
     The classical list follows the tagged graph's classical edges in file
     order; the quantum state spans the quantum edges in file order.
     """
+    from .hybrid import HybridState
+
     _require(isinstance(obj, dict) and "quantum" in obj and "classical" in obj,
              "hybrid state needs 'quantum' and 'classical'", "invalid_state")
     _require(isinstance(obj["classical"], list), "'classical' must be a probability list", "invalid_state")

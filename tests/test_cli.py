@@ -278,7 +278,7 @@ def test_huge_json_integers_are_input_errors(tmp_path):
 def test_unserializable_payload_is_a_json_error(tmp_path, monkeypatch):
     g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
     s = write_json(tmp_path, "s.json", {"type": "product", "qubits": [{"p": 0.5}]})
-    monkeypatch.setattr("qrelnet.cli.qr_value", lambda op, psi: math.inf)
+    monkeypatch.setattr("qrelnet.operators.qr_value", lambda op, psi: math.inf)
     _assert_rejected(run_cli("qr", "--graph", g, "--state", s), "invalid_input")
 
 
@@ -309,7 +309,7 @@ def test_memory_error_is_a_capacity_error(tmp_path, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr("qrelnet.cli.born_sample", exhausted)
+    monkeypatch.setattr("qrelnet.operators.born_sample", exhausted)
     _assert_rejected(run_cli("sample", "--graph", g, "--state", s, "-n", "10"), "capacity")
 
 
@@ -347,7 +347,7 @@ def test_recursion_outside_the_input_stays_internal(tmp_path, monkeypatch):
     def runaway(*args):
         raise RecursionError
 
-    monkeypatch.setattr("qrelnet.cli.qr_value", runaway)
+    monkeypatch.setattr("qrelnet.operators.qr_value", runaway)
     code, out, err = run_cli("qr", "--graph", g, "--state", s)
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == {"code": "internal", "message": "recursion limit hit"}

@@ -43,6 +43,35 @@ def test_dumps_is_deterministic():
     assert dumps_canonical(payload) == dumps_canonical(json.loads(dumps_canonical(payload)))
 
 
+def _json_dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+# Without floats, json.dumps with sorted keys and no spaces is the canonical
+# writer's oracle: both escape strings to ASCII the same way.
+TEXT = st.text(max_size=6)
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | TEXT | st.lists(st.integers())
+               | st.lists(TEXT) | st.lists(st.integers() | st.booleans()))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(TEXT, inner),
+    max_leaves=20,
+)
+
+
+def test_dumps_writes_homogeneous_lists_like_json():
+    for value in ([], (), [[], ()], [1, 2, -3], (1, 2), [True, 1], [1, False], [True, False],
+                  ["a", "é", "日本", " ", '"\\'], ("x",), ["a", 1], [10 ** 40, -1],
+                  {"k": [["1", "2"], [3, 4]]}):
+        assert dumps_canonical(value) == _json_dumps(value), value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(value=JSON_VALUES)
+def test_dumps_matches_json_without_floats(value):
+    assert dumps_canonical(value) == _json_dumps(value)
+
+
 def test_dumps_rejects_non_finite():
     with pytest.raises(QrelnetError):
         dumps_canonical(float("nan"))
