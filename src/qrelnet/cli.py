@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import CapacityError, QrelnetError
-from .partitions import Partition, check_matrix_size, connectivity_matrix, matrix_for_order
 from .serialize import (
     SCHEMA,
     dumps_canonical,
@@ -35,16 +34,6 @@ from .serialize import (
 
 if TYPE_CHECKING:
     from .graphs import Graph
-
-# Reference ordering for the partitions of three elements: singletons
-# first, pair merges, single block last.
-M3_REFERENCE_ORDER = (
-    Partition((("1",), ("2",), ("3",))),
-    Partition((("1",), ("2", "3"))),
-    Partition((("1", "3"), ("2",))),
-    Partition((("1", "2"), ("3",))),
-    Partition((("1", "2", "3"),)),
-)
 
 ENV_CAP = "QRELNET_MAX_EDGES"
 
@@ -103,8 +92,8 @@ def _split_shared(text: str) -> list[str]:
     return names
 
 
-# Each command imports the modules it runs beyond ``partitions`` and
-# ``serialize``, so one start loads no others.
+# Each command imports the modules it runs beyond ``serialize``, so one
+# start loads no others, and a usage error loads no numpy.
 def _cmd_reliability(args) -> dict:
     from .classical import reliability_enumerate, reliability_factorize
 
@@ -176,6 +165,8 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_matrix(args) -> dict:
+    from .partitions import M3_REFERENCE_ORDER, check_matrix_size, connectivity_matrix, matrix_for_order
+
     if args.m < 1:
         raise QrelnetError(f"--m must be at least 1, got {args.m}", code="usage")
     if args.paper_order:

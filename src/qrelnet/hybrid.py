@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .classical import check_probabilities, enumerate_flags, reliability_enumerate
-from .errors import OverlapError, QrelnetError, SublayerError, WidthMismatchError
+from .errors import QrelnetError, SublayerError, WidthMismatchError
 from .graphs import Graph
-from .operators import qr_operator, qr_value, quotient_table, quotient_values, split_sum
-from .partitions import ConnectivityMatrix, Partition, connectivity_matrix, single_block
+from .operators import (
+    qr_operator, qr_value, quotient_values, split_sides, split_sum, split_terms, sum_in_order, union_graph,
+)
+from .partitions import Partition, single_block, singletons
 from .states import StateVector
 
 QUANTUM = "quantum"
@@ -76,11 +78,7 @@ def canonical_decomposition(g: Graph, kinds) -> Decomposition:
 
 
 def _check_inputs(decomp: Decomposition, state: HybridState) -> None:
-    overlap = set(decomp.quantum.vertices) & set(decomp.classical.vertices)
-    if overlap != set(decomp.shared):
-        raise OverlapError(
-            f"subgraphs overlap on {sorted(overlap)}, declared shared set is {sorted(set(decomp.shared))}"
-        )
+    union_graph(decomp.quantum, decomp.classical, decomp.shared)  # the overlap and the combined edge count
     if state.quantum.num_edges != decomp.quantum.num_edges:
         raise WidthMismatchError(
             f"quantum state spans {state.quantum.num_edges} edges, subgraph has {decomp.quantum.num_edges}"
@@ -91,12 +89,11 @@ def _check_inputs(decomp: Decomposition, state: HybridState) -> None:
         )
 
 
-def _quotient_reliabilities(decomp: Decomposition, state: HybridState, cm: ConnectivityMatrix):
-    """Quantum and classical reliability of every quotient, one frontier pass per side."""
-    qk = quotient_values(decomp.quantum, decomp.shared, cm, state.quantum)
-    table, ids = quotient_table(decomp.classical, decomp.shared, cm)
+def _quotient_reliabilities(decomp: Decomposition, state: HybridState):
+    """The weights and the quantum and classical reliability of every quotient."""
+    cm, k_side, (table, ids) = split_sides(decomp.quantum, decomp.classical, decomp.shared)
     rh = [float(enumerate_flags(row[ids], state.classical)) for row in table]
-    return qk, rh
+    return cm, quotient_values(k_side, state.quantum), rh
 
 
 def hybrid_qr(decomp: Decomposition, state: HybridState) -> float:
@@ -114,8 +111,7 @@ def hybrid_qr(decomp: Decomposition, state: HybridState) -> float:
         return qr_value(qr_operator(k), state.quantum)
     if not shared:
         return 0.0
-    cm = connectivity_matrix(shared)
-    return split_sum(cm, *_quotient_reliabilities(decomp, state, cm))
+    return split_sum(*_quotient_reliabilities(decomp, state))
 
 
 class CorrectionTerm(NamedTuple):
@@ -145,23 +141,15 @@ def sublayer_qr(decomp: Decomposition, state: HybridState) -> SublayerResult:
     k, h, shared = decomp.quantum, decomp.classical, decomp.shared
     if not set(k.vertices) <= set(h.vertices):
         raise SublayerError("quantum subgraph must live on classical vertices")
-    baseline = float(reliability_enumerate(h, list(state.classical)))
     if not k.vertices:
+        baseline = float(reliability_enumerate(h, list(state.classical)))
         return SublayerResult(baseline, baseline, ())
-    if set(shared) != set(k.vertices):
-        raise SublayerError("shared set of a sublayer must be the whole quantum vertex set")
-
-    cm = connectivity_matrix(shared)
-    ti, den = cm.order.index(single_block(shared)), cm.denominator
-    qk, rh = _quotient_reliabilities(decomp, state, cm)
-    corrections = [
-        CorrectionTerm(cm.order[i], cm.order[j], Fraction(n, den), n / den * qk[i] * rh[j])
-        for i, j, n in cm.weight_pairs()
-        if i != ti
-    ]
-    # Added one by one: the builtin sum is compensated from Python 3.12 on.
-    extra = 0.0
-    for c in corrections:
-        extra += c.value
-    total = baseline + extra
-    return SublayerResult(total, baseline, tuple(corrections))
+    # The overlap check left shared equal to k's vertices, and h / singletons is h.
+    cm, qk, rh = _quotient_reliabilities(decomp, state)
+    baseline = rh[cm.order.index(singletons(shared))]
+    ti = cm.order.index(single_block(shared))
+    corrections = tuple(
+        CorrectionTerm(cm.order[i], cm.order[j], Fraction(n, cm.denominator), value)
+        for i, j, n, value in split_terms(cm, qk, rh) if i != ti
+    )
+    return SublayerResult(baseline + sum_in_order(c.value for c in corrections), baseline, corrections)

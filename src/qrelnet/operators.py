@@ -111,23 +111,38 @@ def quotient_table(g: Graph, shared, cm: ConnectivityMatrix) -> tuple[np.ndarray
     return table, ids
 
 
-def quotient_values(g: Graph, shared, cm: ConnectivityMatrix, psi: StateVector) -> list[float]:
-    """``qr_value`` of every quotient ``g / cm.order[i]`` on ``psi``, a row at a time."""
-    table, ids = quotient_table(g, shared, cm)
-    return [qr_value(DiagonalOperator(g.num_edges, row[ids]), psi) for row in table]
+def split_sides(k: Graph, h: Graph, shared):
+    """Check the cut; return ``(cm, (k_table, k_ids), (h_table, h_ids))``, one frontier pass per side."""
+    union_graph(k, h, shared)  # validates the overlap and the combined edge count
+    if not shared:
+        raise QrelnetError("splitting needs at least one shared vertex", code="invalid_partition")
+    cm = connectivity_matrix(shared)
+    return cm, quotient_table(k, shared, cm), quotient_table(h, shared, cm)
+
+
+def quotient_values(side, psi: StateVector) -> list[float]:
+    """``qr_value`` on ``psi`` of every quotient in a ``(table, ids)`` side, a row at a time."""
+    table, ids = side
+    return [qr_value(DiagonalOperator(psi.num_edges, row[ids]), psi) for row in table]
+
+
+def split_terms(cm: ConnectivityMatrix, left, right) -> list[tuple[int, int, int, float]]:
+    """``(i, j, n, n / den * left[i] * right[j])`` for every ``(i, j, n)`` of ``weight_pairs``."""
+    den = cm.denominator  # n / den is correctly rounded: the bits of float(beta[i][j])
+    return [(i, j, n, n / den * left[i] * right[j]) for i, j, n in cm.weight_pairs()]
+
+
+def sum_in_order(values) -> float:
+    """Float sum strictly left to right; the builtin ``sum`` is compensated from Python 3.12 on."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def split_sum(cm: ConnectivityMatrix, left, right) -> float:
-    """``sum of beta[i][j] * left[i] * right[j]`` in floats, in ``weight_pairs`` order.
-
-    ``n / denominator`` is correctly rounded, so each weight has the bits of
-    ``float(beta[i][j])``.
-    """
-    den = cm.denominator
-    total = 0.0
-    for i, j, n in cm.weight_pairs():
-        total += n / den * left[i] * right[j]
-    return total
+    """``sum of beta[i][j] * left[i] * right[j]`` in floats, in ``weight_pairs`` order."""
+    return sum_in_order(term[3] for term in split_terms(cm, left, right))
 
 
 def split_operator(k: Graph, h: Graph, shared) -> DiagonalOperator:
@@ -138,12 +153,7 @@ def split_operator(k: Graph, h: Graph, shared) -> DiagonalOperator:
     scaled to a common denominator.  The result acts on the union's edge
     order: ``h`` low bits, ``k`` high bits.
     """
-    union_graph(k, h, shared)  # validates the overlap and the combined edge count
-    if not shared:
-        raise QrelnetError("splitting needs at least one shared vertex", code="invalid_partition")
-    cm = connectivity_matrix(shared)
-    kt, kids = quotient_table(k, shared, cm)
-    ht, hids = quotient_table(h, shared, cm)
+    cm, (kt, kids), (ht, hids) = split_sides(k, h, shared)
     kd, hd = kt[:, kids], ht[:, hids]
     # Row sk, column sh is state sk * 2^|E_h| + sh, so flattening keeps k-major
     # order.  0/1 sides keep every partial sum within the absolute sum of
@@ -169,15 +179,11 @@ def qr_split_value(k: Graph, h: Graph, shared, psi_k: StateVector, psi_h: StateV
     per-quotient expectations.  Agrees with the direct expectation on
     ``tensor(psi_k, psi_h)`` to float accuracy.
     """
-    if psi_k.num_edges != k.num_edges:
-        raise WidthMismatchError(f"state spans {psi_k.num_edges} edges, graph has {k.num_edges}")
-    if psi_h.num_edges != h.num_edges:
-        raise WidthMismatchError(f"state spans {psi_h.num_edges} edges, graph has {h.num_edges}")
-    union_graph(k, h, shared)
-    if not shared:
-        raise QrelnetError("splitting needs at least one shared vertex", code="invalid_partition")
-    cm = connectivity_matrix(shared)
-    return split_sum(cm, quotient_values(k, shared, cm, psi_k), quotient_values(h, shared, cm, psi_h))
+    for g, psi in ((k, psi_k), (h, psi_h)):
+        if psi.num_edges != g.num_edges:
+            raise WidthMismatchError(f"state spans {psi.num_edges} edges, graph has {g.num_edges}")
+    cm, k_side, h_side = split_sides(k, h, shared)
+    return split_sum(cm, quotient_values(k_side, psi_k), quotient_values(h_side, psi_h))
 
 
 class BornEstimate(NamedTuple):

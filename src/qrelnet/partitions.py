@@ -72,6 +72,17 @@ class Partition:
         return len(self.blocks)
 
 
+# Reference ordering for the partitions of three elements: singletons
+# first, pair merges, single block last.
+M3_REFERENCE_ORDER = (
+    Partition((("1",), ("2",), ("3",))),
+    Partition((("1",), ("2", "3"))),
+    Partition((("1", "3"), ("2",))),
+    Partition((("1", "2"), ("3",))),
+    Partition((("1", "2", "3"),)),
+)
+
+
 def singletons(u) -> Partition:
     """Finest partition of ``u``: every element alone."""
     return Partition(tuple((v,) for v in set(u)))

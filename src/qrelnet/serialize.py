@@ -16,16 +16,16 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import CapacityError, QrelnetError, WidthMismatchError
-from .partitions import Partition
 
-# The parsers import the modules of the objects they build, so writing
-# output loads none of them.
+# The parsers import the modules of the objects they build, and numpy only
+# where they need it, so writing output loads none of them.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .graphs import Graph
     from .hybrid import Decomposition, HybridState
+    from .partitions import Partition
     from .states import StateVector
 
 SCHEMA = "qrelnet/1"
@@ -172,6 +172,8 @@ def _parse_amplitudes(values: list) -> np.ndarray:
     included.  Anything else, or a part too large for a float, goes through
     the per-entry decoder for its error.
     """
+    import numpy as np
+
     if set(map(type, values)) == {list} and set(map(len, values)) == {2}:
         parts = list(chain.from_iterable(values))
         if set(map(type, parts)) <= {int, float}:

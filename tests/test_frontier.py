@@ -4,6 +4,7 @@ Every all-states connectivity user (``qr_operator``, ``o_gamma_operator``,
 ``reliability_enumerate``) runs on the engine; the per-state breadth-first
 searches in ``helpers`` are the slow route it replaced.  The compile itself
 is checked table for table against the per-state dict walk it replaced.
+Each splitting entry point compiles each side of its cut exactly once.
 """
 
 import random
@@ -11,14 +12,22 @@ from fractions import Fraction
 
 import numpy as np
 
+import qrelnet.graphs
 from qrelnet import (
+    Decomposition,
     Graph,
+    HybridState,
     Partition,
     enumerate_partitions,
+    hybrid_qr,
     o_gamma_operator,
     qr_operator,
+    qr_split_value,
+    random_state,
     reliability_enumerate,
     reliability_factorize,
+    split_operator,
+    sublayer_qr,
 )
 from qrelnet.graphs import component_traces, frontier_tables
 
@@ -83,3 +92,30 @@ def test_frontier_tables_equal_the_per_state_compile():
             for table, expected in zip(tables, expected_tables):
                 assert table.dtype == expected.dtype
                 assert np.array_equal(table, expected)
+
+
+def test_every_split_runs_one_frontier_pass_per_side(monkeypatch):
+    calls = []
+
+    def counted(g, u):
+        calls.append(g)
+        return frontier_tables(g, u)
+
+    monkeypatch.setattr(qrelnet.graphs, "frontier_tables", counted)
+    # A sublayer cut: the quantum side lives on exactly the shared vertices.
+    k = Graph(("a", "b"), (("a", "b"), ("b", "a")))
+    h = Graph(("a", "b", "c"), (("a", "c"), ("c", "b"), ("a", "b")))
+    shared = ("a", "b")
+    psi_k, psi_h = random_state(2, 1), random_state(3, 2)
+    decomp = Decomposition(k, h, shared, (), ())
+    state = HybridState(psi_k, (0.3, 0.6, 0.9))
+    runs = {
+        "split_operator": lambda: split_operator(k, h, shared),
+        "qr_split_value": lambda: qr_split_value(k, h, shared, psi_k, psi_h),
+        "hybrid_qr": lambda: hybrid_qr(decomp, state),
+        "sublayer_qr": lambda: sublayer_qr(decomp, state),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls == [k, h], name

@@ -122,6 +122,12 @@ def test_hybrid_qr_rejects_inconsistent_decomposition():
     bad = Decomposition(k, h, (), (0,), (1,))
     with pytest.raises(OverlapError):
         hybrid_qr(bad, HybridState(random_state(1, 0), (0.5,)))
+    with pytest.raises(OverlapError):
+        sublayer_qr(bad, HybridState(random_state(1, 0), (0.5,)))
+    # A shared vertex declared, but no quantum vertices to share it.
+    no_quantum = Decomposition(Graph((), ()), h, ("a",), (), (0,))
+    with pytest.raises(OverlapError):
+        hybrid_qr(no_quantum, HybridState(StateVector(0, [1.0]), (0.5,)))
 
 
 def test_sublayer_two_parallel_edges_hand_value():

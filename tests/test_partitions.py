@@ -18,7 +18,7 @@ from qrelnet import (
     single_block,
     singletons,
 )
-from qrelnet.cli import M3_REFERENCE_ORDER
+from qrelnet.partitions import M3_REFERENCE_ORDER
 from qrelnet.operators import split_sum
 from helpers import assert_beta_identities, invert_exact, pairwise_merge_alpha
 

@@ -53,6 +53,17 @@ def test_matrix_loads_no_graph_state_or_operator_module():
     assert loaded == {"cli", "errors", "partitions", "serialize"}
 
 
+def test_a_usage_error_loads_no_numpy():
+    code = ("import json, sys\n"
+            "from qrelnet.cli import main\n"
+            "assert main(['bogus']) == 2\n"
+            "print(json.dumps(['numpy' in sys.modules,\n"
+            "                  sorted(m for m in sys.modules if m.startswith('qrelnet.'))]))")
+    numpy_loaded, loaded = json.loads(run_fresh(code))
+    assert not numpy_loaded
+    assert {name.split(".")[1] for name in loaded} == {"cli", "errors", "serialize"}
+
+
 def test_reliability_loads_no_quantum_module(tmp_path):
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}))
