@@ -107,20 +107,16 @@ def reliability_factorize(g: Graph, probs):
     subproblem's value depends on nothing else: it runs backward over the
     frontier tables, from 1 on every live final state and 0 on the dead
     state.  Each split is ``p * contracted + (1 - p) * deleted``, with
-    ``1 - p`` formed in ``p``'s own type, so floats carry the bits of the
-    plain recursion and rationals stay exact.
+    ``1 - p`` formed in ``p``'s own type, so rationals stay exact and floats
+    carry the bits of the plain recursion (a ``Fraction`` or ``int`` meets a
+    float as its ``float``).
     """
     probs = _validate_probabilities(g, probs)
     start, tables, finals = frontier_tables(g, g.vertices[:1])
-    live = [f is not None for f in finals]
-    if _all_exact(probs):
-        value = [Fraction(int(x)) for x in live]
-        for r, (t0, t1) in zip(reversed(probs), reversed(tables)):
-            s = 1 - r
-            value = [value[a] if a == b else r * value[b] + s * value[a]
-                     for a, b in zip(t0.tolist(), t1.tolist())]
-        return value[start]
-    value = np.array(live, dtype=float)
+    one = Fraction(1) if _all_exact(probs) else 1.0
+    value = [one if f is not None else 0 * one for f in finals]
     for r, (t0, t1) in zip(reversed(probs), reversed(tables)):
-        value = np.where(t0 == t1, value[t0], float(r) * value[t1] + float(1 - r) * value[t0])
-    return float(value[start])
+        s = 1 - r
+        value = [value[a] if a == b else r * value[b] + s * value[a]
+                 for a, b in zip(t0.tolist(), t1.tolist())]
+    return value[start] if isinstance(one, Fraction) else float(value[start])

@@ -152,55 +152,31 @@ def contract_edge(g: Graph, e: int) -> Graph:
     return Graph(tuple(vertices), edges)
 
 
-def _first_appearance(live: np.ndarray, num_labels: int) -> np.ndarray:
-    """Relabel every row by first appearance: ``[2, 0, 2, 1]`` becomes ``[0, 1, 0, 2]``.
+def _number_partitions(live: np.ndarray, num_labels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct partitions in the rows of ``live`` from 1, by first appearance.
 
-    Labels lie below ``num_labels``; one column at a time, a label seen for
-    the first time in its row takes the row's next number.
+    A row partitions the columns by their labels, all below ``num_labels``.
+    Its canonical form names each column by the first column with its label
+    (``[2, 0, 2, 1]`` becomes ``[0, 1, 0, 3]``), so column ``j`` holds at most
+    ``j`` and the row reads as a mixed-radix code, digit ``j`` of radix
+    ``j + 1``, ranked densely before it could pass 2**62.  Returns
+    ``(ids, distinct)``: the number of each row, the canonical form of each number.
     """
     slots = np.arange(len(live))[:, None] * num_labels + live
-    rename = np.full(len(live) * num_labels, -1, dtype=np.int32)
-    count = np.zeros(len(live), dtype=np.int32)
-    key = np.empty_like(live)
-    for j in range(live.shape[1]):
-        slot = slots[:, j]
-        seen = rename[slot]
-        new = seen < 0
-        key[:, j] = rename[slot] = np.where(new, count, seen)
-        count += new
-    return key
-
-
-def _number_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of ``key`` from 1 in order of first appearance.
-
-    ``key`` is relabelled by first appearance, so column ``j`` holds at most
-    ``j`` and each row reads as a mixed-radix number with digit ``j`` of
-    radix ``j + 1``; columns are cut into chunks whose numbers fit int64.
-    One stable sort of those numbers puts each distinct row's first
-    occurrence at the head of its group.  Returns ``(ids, distinct)``:
-    ``ids[r]`` is the number of row ``r``, ``distinct`` one row per number.
-    """
-    bounds, weights, weight = [0], [], 1
+    first = np.empty(len(live) * num_labels, dtype=live.dtype)
+    for j in reversed(range(live.shape[1])):
+        first[slots[:, j]] = j
+    key = first[slots]
+    code, bound = np.zeros(len(live), dtype=np.int64), 1
     for j in range(key.shape[1]):
-        if weight * (j + 1) > 2**63:
-            bounds.append(j)
-            weight = 1
-        weights.append(weight)
-        weight *= j + 1
-    bounds.append(key.shape[1])
-    codes = [key[:, a:b] @ np.array(weights[a:b], dtype=np.int64) for a, b in zip(bounds, bounds[1:])]
-    order = np.lexsort(codes)
-    ranked = np.array(codes)[:, order]
-    head = np.ones(len(key), dtype=bool)
-    head[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-    firsts = order[head]
-    by_first = np.argsort(firsts)
-    number = np.empty(len(firsts), dtype=np.int32)
-    number[by_first] = np.arange(1, len(firsts) + 1, dtype=np.int32)
-    ids = np.empty(len(key), dtype=np.int32)
-    ids[order] = number[np.cumsum(head) - 1]
-    return ids, key[firsts[by_first]]
+        if bound * (j + 1) > 2**62:
+            uniques, code = np.unique(code, return_inverse=True)
+            bound = len(uniques)
+        code, bound = code * (j + 1) + key[:, j], bound * (j + 1)
+    # return_index sorts stably, so ``heads`` are first occurrences.
+    _, heads, group = np.unique(code, return_index=True, return_inverse=True)
+    number = np.argsort(np.argsort(heads)) + 1
+    return number[group], key[np.sort(heads)]
 
 
 def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition | None]]:
@@ -219,9 +195,10 @@ def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition 
     never costs more than enumerating.
 
     The states before an edge are one ``(S_k, width)`` matrix of component
-    labels, relabelled by first appearance; both successors of every state
-    are built at once, and new states are numbered by first appearance,
-    state by state, edge absent before edge present.
+    labels, each vertex labelled by the first frontier column in its
+    component; both successors of every state are built at once, and new
+    states are numbered by first appearance, state by state, edge absent
+    before edge present.
     """
     uset = set(u)
     if not uset <= set(g.vertices):
@@ -256,17 +233,15 @@ def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition 
         for i in leaving:
             alive &= (live == both[:, i, None]).any(axis=1)
         ids = np.zeros(2 * n, dtype=np.int32)
-        ids[alive], labels = _number_rows(_first_appearance(live[alive], len(grown)))
+        ids[alive], labels = _number_partitions(live[alive], len(grown))
         table = np.zeros((2, n + 1), dtype=np.int32)
         table[:, 1:] = ids.reshape(n, 2).T
         tables.append(table)
         frontier = [grown[i] for i in kept]
     finals: list[Partition | None] = [None]
     for row in labels.tolist():
-        blocks: dict[int, list[str]] = {}
-        for v, lab in zip(frontier, row):
-            blocks.setdefault(lab, []).append(v)
-        finals.append(Partition(tuple(tuple(b) for b in blocks.values())))
+        blocks = {lab: tuple(v for v, x in zip(frontier, row) if x == lab) for lab in row}
+        finals.append(Partition(tuple(blocks.values())))
     return 0 if stranded else 1, tables, finals
 
 

@@ -37,7 +37,8 @@ class StateVector:
             )
         if not np.isfinite(amps).all():
             raise QrelnetError("amplitudes must be finite", code="invalid_state")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore"):  # a huge finite amplitude squares to inf
+            norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise NormalizationError(f"state norm^2 is {norm_sq!r}, must be 1 within {NORM_TOL}")
         amps.setflags(write=False)

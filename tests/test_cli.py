@@ -115,6 +115,50 @@ def test_matrix_stdout_bytes_are_golden(args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MATRIX_SHA256[args]
 
 
+def _grid(rows, cols):
+    name = lambda r, c: f"v{r}{c}"
+    vertices = [name(r, c) for r in range(rows) for c in range(cols)]
+    edges = [[name(r, c), name(r, c + 1)] for r in range(rows) for c in range(cols - 1)]
+    edges += [[name(r, c), name(r + 1, c)] for r in range(rows - 1) for c in range(cols)]
+    return {"vertices": vertices, "edges": edges}
+
+
+# (graph, float probabilities, exact probabilities): the 3x3 grid, and a
+# multigraph with a parallel edge (a-b twice) and a self-loop (c-c).
+RELIABILITY_INPUTS = {
+    "grid": (_grid(3, 3), "0.9,0.85,0.7,0.95,0.6,0.75,0.8,0.65,0.99,0.55,0.9,0.72",
+             "9/10,17/20,7/10,19/20,3/5,3/4,4/5,13/20,99/100,11/20,9/10,18/25"),
+    "multi": ({"vertices": ["a", "b", "c", "d"],
+               "edges": [["a", "b"], ["a", "b"], ["b", "c"], ["c", "c"], ["c", "d"], ["d", "a"], ["b", "d"]]},
+              "0.3,0.45,0.8,0.5,0.6,0.35,0.7", "3/10,9/20,4/5,1/2,3/5,7/20,7/10"),
+}
+
+# The value printed by `reliability --method M [--exact]`.  Both float routes
+# fix their order of operations (an elementwise backward DP, a strictly
+# left-to-right sum), so their bits are gated like the rationals.
+RELIABILITY_GOLDEN = {
+    ("grid", "enum", False): "0.67464101459970027",
+    ("grid", "factor", False): "0.67464101459970005",
+    ("grid", "enum", True): '"6746410145997/10000000000000"',
+    ("grid", "factor", True): '"6746410145997/10000000000000"',
+    ("multi", "enum", False): "0.61921599999999999",
+    ("multi", "factor", False): "0.61921599999999999",
+    ("multi", "enum", True): '"38701/62500"',
+    ("multi", "factor", True): '"38701/62500"',
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELIABILITY_GOLDEN), ids=lambda c: "_".join(map(str, c)))
+def test_reliability_stdout_bytes_are_golden(tmp_path, case):
+    name, method, exact = case
+    graph, floats, fractions = RELIABILITY_INPUTS[name]
+    g = write_json(tmp_path, "g.json", graph)
+    args = ["--p", fractions, "--exact"] if exact else ["--p", floats]
+    code, out, err = run_cli("reliability", "--graph", g, "--method", method, *args)
+    assert (code, err) == (0, "")
+    assert out == '{"schema":"qrelnet/1","value":%s}\n' % RELIABILITY_GOLDEN[case]
+
+
 def test_split_verify(tmp_path):
     k = write_json(tmp_path, "k.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
     h = write_json(tmp_path, "h.json", {"vertices": ["a", "b", "c"], "edges": [["a", "c"], ["c", "b"]]})
@@ -245,6 +289,9 @@ def test_not_normalized_state(tmp_path):
     code, _, err = run_cli("qr", "--graph", g, "--state", s)
     assert code == 2
     assert json.loads(err)["error"]["code"] == "not_normalized"
+    # Finite, but its square overflows: the norm is inf, with no numpy warning.
+    s = write_json(tmp_path, "huge.json", {"type": "amplitudes", "values": [[1e200, 0], [0, 0]]})
+    _assert_rejected(run_cli("qr", "--graph", g, "--state", s), "not_normalized")
 
 
 def _assert_rejected(result, code_name):

@@ -77,7 +77,7 @@ def test_exact_enumeration_equals_factorization():
 
 def test_frontier_tables_equal_the_per_state_compile():
     rng = random.Random(28)
-    # Twenty-six vertices kept live: the row numbers span two int64 chunks.
+    # Twenty-six vertices kept live: the row codes pass 2**62 and are ranked.
     wide = Graph(tuple(f"w{i:02d}" for i in range(26)),
                  (("w00", "w25"), ("w03", "w21"), ("w21", "w25"), ("w10", "w10"), ("w24", "w00")))
     graphs = [*edge_case_graphs(29, 150, 6, 9), scrambled_k6(), horizontal_first_grid(3, 4),
