@@ -58,6 +58,15 @@ def reliability_enumerate(g: Graph, probs):
     return enumerate_flags(connectivity_flags(g), probs)
 
 
+def sum_in_order(values, start: float = 0.0) -> float:
+    """``start`` plus a sequence of floats, added strictly left to right.
+
+    A prefix sum never reorders, unlike ``np.dot``, ``np.sum`` or ``sum``, so
+    the result has the plain loop's bits on any machine and thread count.
+    """
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+
+
 def enumerate_flags(flags: np.ndarray, probs):
     """Total Bernoulli weight of the edge states flagged 1 in ``flags``.
 
@@ -65,8 +74,8 @@ def enumerate_flags(flags: np.ndarray, probs):
     on bit ``k``; ``probs`` are already checked.  Sums in ascending state
     order; each weight is the product of its edges' factors (``p`` present,
     ``1 - p`` absent, formed in ``p``'s own type) taken in edge order, and
-    the float sum runs strictly left to right, so the result has the bits of
-    the plain per-state loop.  Exact when every probability is an ``int`` or
+    the float sum is :func:`sum_in_order`, so the result has the bits of the
+    plain per-state loop.  Exact when every probability is an ``int`` or
     ``Fraction``: the weights are then integer numerators over the product
     of the denominators.  Float otherwise.
     """
@@ -88,13 +97,10 @@ def enumerate_flags(flags: np.ndarray, probs):
         high = start >> low
         for i, pair in enumerate(factors[low:]):
             w = w * pair[high >> i & 1]
-        if exact:
-            total += int(w.sum())
-        else:
-            total = np.add.accumulate(np.concatenate(([total], w)))[-1]
+        total = total + int(w.sum()) if exact else sum_in_order(w, total)
     if exact:
         return Fraction(total, prod(f.denominator for f in fracs))
-    return float(total)
+    return total
 
 
 def reliability_factorize(g: Graph, probs):

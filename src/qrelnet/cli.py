@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 # Before anything in this process imports numpy: OpenBLAS reads this once,
-# when it loads.  One thread costs qrelnet nothing (its BLAS work is small)
-# and saves starting a worker pool on every run; a value the user set wins.
+# when it loads.  qrelnet's BLAS work is only exact integer products, so one
+# thread changes no output byte and starts no worker pool; a user's value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import CapacityError, QrelnetError
@@ -124,24 +124,26 @@ def _cmd_split_verify(args) -> dict:
     return {"equal": verify_split(k, h, shared)}
 
 
-def _cmd_hybrid(args) -> dict:
-    from .hybrid import canonical_decomposition, hybrid_qr
+def _hybrid_inputs(args):
+    """The decomposition of ``--graph`` and the hybrid state of ``--state``."""
+    from .hybrid import canonical_decomposition
 
     g, kinds = parse_tagged_graph(_load_json(args.graph))
     _check_cap(g)
     decomp = canonical_decomposition(g, kinds)
-    state = parse_hybrid_state(_load_json(args.state), decomp)
-    return {"value": hybrid_qr(decomp, state)}
+    return decomp, parse_hybrid_state(_load_json(args.state), decomp)
+
+
+def _cmd_hybrid(args) -> dict:
+    from .hybrid import hybrid_qr
+
+    return {"value": hybrid_qr(*_hybrid_inputs(args))}
 
 
 def _cmd_sublayer(args) -> dict:
-    from .hybrid import canonical_decomposition, sublayer_qr
+    from .hybrid import sublayer_qr
 
-    g, kinds = parse_tagged_graph(_load_json(args.graph))
-    _check_cap(g)
-    decomp = canonical_decomposition(g, kinds)
-    state = parse_hybrid_state(_load_json(args.state), decomp)
-    result = sublayer_qr(decomp, state)
+    result = sublayer_qr(*_hybrid_inputs(args))
     corrections = [
         {
             "gamma": partition_to_json(term.gamma),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, QrelnetError, WidthMismatchError
-from .partitions import Partition
+from .partitions import Partition, partition_of
 
 # 2**24 basis states is the largest dense vector this package will touch.
 MAX_EDGES = 24
@@ -238,10 +238,7 @@ def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition 
         table[:, 1:] = ids.reshape(n, 2).T
         tables.append(table)
         frontier = [grown[i] for i in kept]
-    finals: list[Partition | None] = [None]
-    for row in labels.tolist():
-        blocks = {lab: tuple(v for v, x in zip(frontier, row) if x == lab) for lab in row}
-        finals.append(Partition(tuple(blocks.values())))
+    finals = [None] + [partition_of(frontier, row) for row in labels.tolist()]
     return 0 if stranded else 1, tables, finals
 
 

@@ -15,12 +15,10 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .classical import check_probabilities, enumerate_flags, reliability_enumerate
+from .classical import check_probabilities, enumerate_flags, reliability_enumerate, sum_in_order
 from .errors import QrelnetError, SublayerError, WidthMismatchError
 from .graphs import Graph
-from .operators import (
-    qr_operator, qr_value, quotient_values, split_sides, split_sum, split_terms, sum_in_order, union_graph,
-)
+from .operators import qr_operator, qr_value, quotient_values, split_sides, split_sum, split_terms, union_graph
 from .partitions import Partition, single_block, singletons
 from .states import StateVector
 
@@ -152,4 +150,4 @@ def sublayer_qr(decomp: Decomposition, state: HybridState) -> SublayerResult:
         CorrectionTerm(cm.order[i], cm.order[j], Fraction(n, cm.denominator), value)
         for i, j, n, value in split_terms(cm, qk, rh) if i != ti
     )
-    return SublayerResult(baseline + sum_in_order(c.value for c in corrections), baseline, corrections)
+    return SublayerResult(baseline + sum_in_order([c.value for c in corrections]), baseline, corrections)

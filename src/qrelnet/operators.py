@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .classical import sum_in_order
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
 from .graphs import Graph, MAX_EDGES, component_traces, connectivity_flags
 from .partitions import ConnectivityMatrix, Partition, connectivity_matrix
@@ -56,10 +57,10 @@ def qr_operator(g: Graph) -> DiagonalOperator:
 
 
 def qr_value(op: DiagonalOperator, psi: StateVector) -> float:
-    """Expectation of a diagonal operator on a state (real by construction)."""
+    """Expectation of a diagonal operator on a state, summed in state order by ``sum_in_order``."""
     if op.num_edges != psi.num_edges:
         raise WidthMismatchError(f"operator spans {op.num_edges} edges, state spans {psi.num_edges}")
-    return float(np.dot(op.as_float(), psi.probabilities()))
+    return sum_in_order(op.as_float() * psi.probabilities())
 
 
 def o_gamma_operator(h: Graph, u, gamma: Partition) -> DiagonalOperator:
@@ -132,17 +133,9 @@ def split_terms(cm: ConnectivityMatrix, left, right) -> list[tuple[int, int, int
     return [(i, j, n, n / den * left[i] * right[j]) for i, j, n in cm.weight_pairs()]
 
 
-def sum_in_order(values) -> float:
-    """Float sum strictly left to right; the builtin ``sum`` is compensated from Python 3.12 on."""
-    total = 0.0
-    for x in values:
-        total += x
-    return total
-
-
 def split_sum(cm: ConnectivityMatrix, left, right) -> float:
     """``sum of beta[i][j] * left[i] * right[j]`` in floats, in ``weight_pairs`` order."""
-    return sum_in_order(term[3] for term in split_terms(cm, left, right))
+    return sum_in_order([term[3] for term in split_terms(cm, left, right)])
 
 
 def split_operator(k: Graph, h: Graph, shared) -> DiagonalOperator:

@@ -91,9 +91,15 @@ def singletons(u) -> Partition:
 def single_block(u) -> Partition:
     """Coarsest partition of ``u``: one block holding everything."""
     elems = set(u)
-    if not elems:
-        return Partition(())
-    return Partition((tuple(elems),))
+    return partition_of(elems, [0] * len(elems))
+
+
+def partition_of(names, labels) -> Partition:
+    """Partition of ``names`` that puts two names in one block iff their labels agree."""
+    blocks: dict = {}
+    for v, lab in zip(names, labels):
+        blocks.setdefault(lab, []).append(v)
+    return Partition(tuple(map(tuple, blocks.values())))
 
 
 def enumerate_partitions(u) -> list[Partition]:
@@ -109,22 +115,11 @@ def enumerate_partitions(u) -> list[Partition]:
     if m > MAX_GROUND_SET:
         raise CapacityError(f"partition enumeration capped at {MAX_GROUND_SET} elements, got {m}")
 
-    out: list[Partition] = []
-    labels = [0] * m
-
-    def extend(i: int, used: int) -> None:
-        if i == m:
-            blocks: list[list[str]] = [[] for _ in range(used)]
-            for pos, lab in enumerate(labels):
-                blocks[lab].append(elems[pos])
-            out.append(Partition(tuple(tuple(b) for b in blocks)))
-            return
-        for lab in range(used + 1):
-            labels[i] = lab
-            extend(i + 1, max(used, lab + 1))
-
-    extend(1, 1)
-    return out
+    # Restricted growth strings, extended one element at a time in lexicographic order.
+    rows = [[0]]
+    for _ in range(m - 1):
+        rows = [r + [lab] for r in rows for lab in range(max(r) + 2)]
+    return [partition_of(elems, r) for r in rows]
 
 
 def _labels(p: Partition, index: dict[str, int]) -> list[int]:

@@ -105,23 +105,26 @@ def _require(cond: bool, message: str, code: str = "invalid_input") -> None:
         raise QrelnetError(message, code=code)
 
 
+def _graph_lists(obj) -> tuple[list, list]:
+    """The vertex and edge lists of a graph object, the vertices checked to be strings."""
+    _require(isinstance(obj, dict), "graph must be a JSON object", "invalid_graph")
+    _require("vertices" in obj and "edges" in obj, "graph needs 'vertices' and 'edges'", "invalid_graph")
+    verts, edges = obj["vertices"], obj["edges"]
+    _require(isinstance(verts, list) and all(isinstance(v, str) for v in verts),
+             "graph vertices must be a list of strings", "invalid_graph")
+    _require(isinstance(edges, list), "graph edges must be a list", "invalid_graph")
+    return verts, edges
+
+
 def parse_graph(obj) -> Graph:
     """Graph from ``{"vertices": [...], "edges": [[a, b], ...]}``."""
     from .graphs import Graph
 
-    _require(isinstance(obj, dict), "graph must be a JSON object", "invalid_graph")
-    _require("vertices" in obj and "edges" in obj, "graph needs 'vertices' and 'edges'", "invalid_graph")
-    verts = obj["vertices"]
-    edges = obj["edges"]
-    _require(isinstance(verts, list) and all(isinstance(v, str) for v in verts),
-             "graph vertices must be a list of strings", "invalid_graph")
-    _require(isinstance(edges, list), "graph edges must be a list", "invalid_graph")
-    pairs = []
+    verts, edges = _graph_lists(obj)
     for e in edges:
         _require(isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e),
                  "each edge must be a two-string list", "invalid_graph")
-        pairs.append((e[0], e[1]))
-    return Graph(tuple(verts), tuple(pairs))
+    return Graph(tuple(verts), tuple(map(tuple, edges)))
 
 
 def parse_tagged_graph(obj) -> tuple[Graph, list[str]]:
@@ -133,14 +136,9 @@ def parse_tagged_graph(obj) -> tuple[Graph, list[str]]:
     from .graphs import Graph
     from .hybrid import CLASSICAL, QUANTUM
 
-    _require(isinstance(obj, dict), "graph must be a JSON object", "invalid_graph")
-    _require("vertices" in obj and "edges" in obj, "graph needs 'vertices' and 'edges'", "invalid_graph")
-    verts = obj["vertices"]
-    _require(isinstance(verts, list) and all(isinstance(v, str) for v in verts),
-             "graph vertices must be a list of strings", "invalid_graph")
-    _require(isinstance(obj["edges"], list), "graph edges must be a list", "invalid_graph")
+    verts, edges = _graph_lists(obj)
     pairs, kinds = [], []
-    for e in obj["edges"]:
+    for e in edges:
         _require(isinstance(e, dict) and "endpoints" in e and "kind" in e,
                  "each tagged edge needs 'endpoints' and 'kind'", "invalid_graph")
         ends = e["endpoints"]
@@ -148,7 +146,7 @@ def parse_tagged_graph(obj) -> tuple[Graph, list[str]]:
                  "edge endpoints must be a two-string list", "invalid_graph")
         _require(e["kind"] in (QUANTUM, CLASSICAL),
                  f"edge kind must be '{QUANTUM}' or '{CLASSICAL}'", "invalid_graph")
-        pairs.append((ends[0], ends[1]))
+        pairs.append(tuple(ends))
         kinds.append(e["kind"])
     return Graph(tuple(verts), tuple(pairs)), kinds
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import sum_in_order
 from .errors import CapacityError, NormalizationError, QrelnetError
 from .graphs import MAX_EDGES, check_state
 
@@ -122,5 +123,5 @@ def random_state(num_edges: int, seed: int) -> StateVector:
         raise CapacityError(f"states support 0..{MAX_EDGES} edges, got {num_edges}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(1 << num_edges) + 1j * rng.standard_normal(1 << num_edges)
-    v /= np.linalg.norm(v)
+    v /= np.sqrt(sum_in_order(np.abs(v) ** 2))
     return StateVector(num_edges, v)

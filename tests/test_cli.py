@@ -159,6 +159,95 @@ def test_reliability_stdout_bytes_are_golden(tmp_path, case):
     assert out == '{"schema":"qrelnet/1","value":%s}\n' % RELIABILITY_GOLDEN[case]
 
 
+# Fixtures for the float subcommands.  Amplitudes are real or imaginary
+# (phases in {1, i, -1, -i}), so every |amplitude| is exact and the printed
+# bits follow from the program's own order of operations on any machine.
+PHASES = ([1, 0], [0, 1], [-1, 0], [0, -1])
+
+
+def _product(probs):
+    return {"type": "product", "qubits": [{"p": p, "phase": PHASES[i % 4]} for i, p in enumerate(probs)]}
+
+
+def _tagged(quantum, classical):
+    edges = [{"endpoints": e, "kind": "quantum"} for e in quantum]
+    edges += [{"endpoints": e, "kind": "classical"} for e in classical]
+    return {"vertices": sorted({v for e in quantum + classical for v in e}), "edges": edges}
+
+
+# 17 edges: 2^17 amplitudes, past the length at which a multi-threaded BLAS
+# would split a dot product into per-thread partial sums.
+GRID34 = _grid(3, 4)
+GRID34_STATE = _product([0.9, 0.85, 0.7, 0.95, 0.6, 0.75, 0.8, 0.65, 0.99, 0.55, 0.9, 0.72,
+                         0.88, 0.5, 0.93, 0.62, 0.8])
+MULTI = RELIABILITY_INPUTS["multi"][0]
+SQUARE = {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"], ["b", "d"]]}
+# A quantum triangle on classical vertices (a sublayer), and a quantum path
+# through a vertex of its own (not a sublayer).
+SUBLAYER = _tagged(TRIANGLE["edges"], SQUARE["edges"])
+PENDANT = _tagged([["a", "e"], ["e", "b"], ["b", "c"]], [["a", "b"], ["b", "c"], ["c", "a"], ["c", "d"]])
+SUBLAYER_STATE = {"quantum": _product([0.7, 0.4, 0.55]), "classical": [0.9, 0.35, 0.8, 0.6, 0.45]}
+
+# name -> (subcommand, {flag: JSON written to a file}, further arguments)
+FLOAT_INPUTS = {
+    "qr_grid3x4_product": ("qr", {"graph": GRID34, "state": GRID34_STATE}, []),
+    "qr_multi_two_term": ("qr", {"graph": MULTI, "state": {
+        "type": "two_term", "zeta": "1110110", "chi": "0101011", "p": 0.3, "phase": [0, -1]}}, []),
+    "qr_triangle_amplitudes": ("qr", {"graph": TRIANGLE, "state": {"type": "amplitudes", "values": [
+        [0.2, 0], [-0.4, 0], [0.5, 0], [0.1, 0], [0, -0.3], [0.6, 0], [0, 0.3], [0, 0]]}}, []),
+    "sample_grid3x4_product": ("sample", {"graph": GRID34, "state": GRID34_STATE}, ["-n", "5000", "--seed", "11"]),
+    "hybrid_sublayer": ("hybrid", {"graph": SUBLAYER, "state": SUBLAYER_STATE}, []),
+    "hybrid_pendant": ("hybrid", {"graph": PENDANT, "state": {
+        "quantum": _product([0.8, 0.3, 0.65]), "classical": [0.9, 0.35, 0.8, 0.6]}}, []),
+    "sublayer": ("sublayer", {"graph": SUBLAYER, "state": SUBLAYER_STATE}, []),
+    "split_verify": ("split-verify", {"k": TRIANGLE, "h": SQUARE}, ["--shared", "a,b,c"]),
+}
+
+# The stdout of each case above.
+FLOAT_GOLDEN = {
+    "hybrid_pendant": '{"schema":"qrelnet/1","value":0.48000420000000033}\n',
+    "hybrid_sublayer": '{"schema":"qrelnet/1","value":0.88862294000000008}\n',
+    "qr_grid3x4_product": '{"schema":"qrelnet/1","value":0.7042778263895153}\n',
+    "qr_multi_two_term": '{"schema":"qrelnet/1","value":0.29999999999999993}\n',
+    "qr_triangle_amplitudes": '{"schema":"qrelnet/1","value":0.45999999999999996}\n',
+    "sample_grid3x4_product": (
+        '{"estimate":0.71760000000000002,"n":5000,"schema":"qrelnet/1","seed":11,'
+        '"stderr":0.0063663213867978736}\n'
+    ),
+    "split_verify": '{"equal":true,"schema":"qrelnet/1"}\n',
+    "sublayer": (
+        '{"classical":0.69891000000000025,"corrections":['
+        '{"beta":"-1/2","gamma":[["a","b"],["c"]],"gamma_prime":[["a","b"],["c"]],"value":-0.270173},'
+        '{"beta":"1/2","gamma":[["a","b"],["c"]],"gamma_prime":[["a","c"],["b"]],"value":0.33608105000000016},'
+        '{"beta":"1/2","gamma":[["a","b"],["c"]],"gamma_prime":[["a"],["b","c"]],"value":0.33353700000000014},'
+        '{"beta":"-1/2","gamma":[["a","b"],["c"]],"gamma_prime":[["a"],["b"],["c"]],"value":-0.25510215000000014},'
+        '{"beta":"1/2","gamma":[["a","c"],["b"]],"gamma_prime":[["a","b"],["c"]],"value":0.30348200000000003},'
+        '{"beta":"-1/2","gamma":[["a","c"],["b"]],"gamma_prime":[["a","c"],["b"]],"value":-0.37751570000000023},'
+        '{"beta":"1/2","gamma":[["a","c"],["b"]],"gamma_prime":[["a"],["b","c"]],"value":0.37465800000000016},'
+        '{"beta":"-1/2","gamma":[["a","c"],["b"]],"gamma_prime":[["a"],["b"],["c"]],"value":-0.28655310000000023},'
+        '{"beta":"1/2","gamma":[["a"],["b","c"]],"gamma_prime":[["a","b"],["c"]],"value":0.32013649999999999},'
+        '{"beta":"1/2","gamma":[["a"],["b","c"]],"gamma_prime":[["a","c"],["b"]],"value":0.39823302500000018},'
+        '{"beta":"-1/2","gamma":[["a"],["b","c"]],"gamma_prime":[["a"],["b","c"]],"value":-0.39521850000000014},'
+        '{"beta":"-1/2","gamma":[["a"],["b","c"]],"gamma_prime":[["a"],["b"],["c"]],"value":-0.30227857500000016},'
+        '{"beta":"1","gamma":[["a"],["b"],["c"]],"gamma_prime":[["a","b","c"]],"value":0.55161200000000021},'
+        '{"beta":"-1/2","gamma":[["a"],["b"],["c"]],"gamma_prime":[["a","b"],["c"]],"value":-0.21354770000000003},'
+        '{"beta":"-1/2","gamma":[["a"],["b"],["c"]],"gamma_prime":[["a","c"],["b"]],"value":-0.26564214500000016},'
+        '{"beta":"-1/2","gamma":[["a"],["b"],["c"]],"gamma_prime":[["a"],["b","c"]],"value":-0.26363130000000012},'
+        '{"beta":"1/2","gamma":[["a"],["b"],["c"]],"gamma_prime":[["a"],["b"],["c"]],"value":0.20163553500000014}]'
+        ',"schema":"qrelnet/1","total":0.88862294000000008}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_INPUTS))
+def test_float_subcommand_stdout_bytes_are_golden(tmp_path, name):
+    command, files, extra = FLOAT_INPUTS[name]
+    args = [arg for flag, obj in files.items() for arg in (f"--{flag}", write_json(tmp_path, f"{flag}.json", obj))]
+    code, out, err = run_cli(command, *args, *extra)
+    assert (code, err) == (0, "")
+    assert out == FLOAT_GOLDEN[name]
+
+
 def test_split_verify(tmp_path):
     k = write_json(tmp_path, "k.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
     h = write_json(tmp_path, "h.json", {"vertices": ["a", "b", "c"], "edges": [["a", "c"], ["c", "b"]]})

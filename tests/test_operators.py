@@ -44,6 +44,7 @@ from helpers import (
     random_probabilities,
     random_split,
     split_diag_fraction_loop,
+    sum_in_order,
 )
 
 
@@ -132,6 +133,23 @@ def test_qr_value_phase_invariance():
         rotated = StateVector(psi.num_edges, mu * psi.amplitudes)
         op = qr_operator(g)
         assert abs(qr_value(op, psi) - qr_value(op, rotated)) <= 1e-12
+
+
+def test_qr_value_is_the_per_state_loop_bit_for_bit():
+    # The oracle adds diag[s] * |psi[s]|^2 one state at a time, in ascending order.
+    rng = random.Random(59)
+    for n in (0, 1, 2, 5, 9, 13, 15, 16, 17):
+        psi = random_state(n, n)
+        probs = psi.probabilities().tolist()
+        diag = [rng.randint(0, 1) for _ in range(1 << n)]
+        op = DiagonalOperator(n, np.array(diag, dtype=np.uint8))
+        assert qr_value(op, psi) == sum_in_order(d * p for d, p in zip(diag, probs))
+    for n in (1, 4, 10):
+        psi = random_state(n, 100 + n)
+        probs = psi.probabilities().tolist()
+        diag = [Fraction(rng.randint(-7, 7), rng.randint(1, 9)) for _ in range(1 << n)]
+        op = DiagonalOperator(n, np.array(diag, dtype=object))
+        assert qr_value(op, psi) == sum_in_order(float(d) * p for d, p in zip(diag, probs))
 
 
 def test_qr_value_width_mismatch():

@@ -1,11 +1,13 @@
 """Start-up contract of the CLI process, each check in a fresh interpreter.
 
 ``import qrelnet`` loads nothing; the CLI pins OpenBLAS to one thread unless
-the user chose a count, and each subcommand loads only the modules it runs.
+the user chose a count, each subcommand loads only the modules it runs, and
+no output byte depends on the BLAS thread count.
 """
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +72,28 @@ def test_reliability_loads_no_quantum_module(tmp_path):
     loaded = loaded_after(["reliability", "--graph", str(graph), "--p", "0.5,0.5"])
     assert "classical" in loaded
     assert not loaded & {"states", "operators", "hybrid"}
+
+
+def test_qr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 17 edges, 2^17 amplitudes: a multi-threaded BLAS splits a dot product
+    # this long into per-thread partial sums.
+    name = lambda r, c: f"v{r}{c}"
+    edges = [[name(r, c), name(r, c + 1)] for r in range(3) for c in range(3)]
+    edges += [[name(r, c), name(r + 1, c)] for r in range(2) for c in range(4)]
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": sorted({v for e in edges for v in e}), "edges": edges}))
+    rng = random.Random(0)
+    states = [str(tmp_path / f"s{i}.json") for i in range(6)]
+    for path in states:
+        Path(path).write_text(json.dumps({"type": "product", "qubits": [{"p": rng.random()} for _ in edges]}))
+    code = ("import contextlib, io, json\n"
+            "from qrelnet.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    for state in {states!r}:\n"
+            f"        assert main(['qr', '--graph', {str(graph)!r}, '--state', state]) == 0\n"
+            "print(json.dumps(out.getvalue()))")
+    assert run_fresh(code, **{BLAS_ENV: "1"}) == run_fresh(code, **{BLAS_ENV: "2"})
 
 
 def _blas_name() -> str:
