@@ -38,13 +38,9 @@ if TYPE_CHECKING:
 ENV_CAP = "QRELNET_MAX_EDGES"
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise QrelnetError(message, code="usage")
 
 
 def _edge_cap() -> int:
@@ -79,8 +75,8 @@ def _load_json(path: str):
         raise QrelnetError(f"{path} is not UTF-8 text: {exc}", code="malformed_json") from None
     except RecursionError:
         raise QrelnetError(f"{path} nests deeper than the recursion limit", code="malformed_json") from None
-    except json.JSONDecodeError:
-        raise
+    except json.JSONDecodeError as exc:
+        raise QrelnetError(str(exc), code="malformed_json") from None
     except ValueError:  # an integer literal past int's string-conversion digit limit
         raise CapacityError(f"{path} holds an integer with too many digits") from None
 
@@ -244,12 +240,6 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         text = dumps_canonical({"schema": SCHEMA, **args.run(args)})
-    except UsageError as exc:
-        _emit_error("usage", str(exc))
-        return 2
-    except json.JSONDecodeError as exc:
-        _emit_error("malformed_json", str(exc))
-        return 2
     except QrelnetError as exc:
         _emit_error(exc.code, str(exc))
         return 2

@@ -200,12 +200,14 @@ def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
     if seed < 0:
         raise QrelnetError(f"seed must be non-negative, got {seed}", code="invalid_input")
     rng = np.random.default_rng(seed)
-    cdf = np.cumsum(psi.probabilities())
+    probs = psi.probabilities()
+    cdf = np.cumsum(probs)
     # The estimate counts flags, so the draws' order is free; sorted draws
     # walk the cumulative table in one direction.
     draws = np.sort(rng.random(n))
     states = np.searchsorted(cdf, draws, side="right")
-    np.clip(states, 0, g.num_states - 1, out=states)
+    # cdf[-1] may end below 1: later draws take the last state of positive weight.
+    np.clip(states, 0, np.flatnonzero(probs)[-1], out=states)
     flags = qr_operator(g).as_float()
     estimate = float(np.mean(flags[states]))
     stderr = sqrt(estimate * (1.0 - estimate) / n)

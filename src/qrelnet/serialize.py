@@ -40,51 +40,34 @@ def _float_text(x: float) -> str:
     return s
 
 
-def _write(value, emit) -> None:
-    if value is None or value is True or value is False:
-        emit("null" if value is None else ("true" if value else "false"))
-    elif isinstance(value, str):
-        emit(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        emit(str(value))
-    elif isinstance(value, float):
-        emit(_float_text(value))
-    elif isinstance(value, dict):
-        emit("{")
-        first = True
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise QrelnetError("JSON object keys must be strings", code="invalid_input")
-            if not first:
-                emit(",")
-            first = False
-            emit(encode_basestring_ascii(key))
-            emit(":")
-            _write(value[key], emit)
-        emit("}")
-    elif isinstance(value, (list, tuple)):
-        # Lists of exact strs or exact ints (no bools) are one join each:
-        # the bulk of a large output, such as a connectivity matrix.
+def _text(value) -> str:
+    # Containers first: most calls are lists or objects.  A list of exact
+    # strs or exact ints (no bools), the bulk of a large output such as a
+    # connectivity matrix, is one join with no dispatch per item.
+    if isinstance(value, (list, tuple)):
         kinds = set(map(type, value))
-        if kinds == {str} or kinds == {int}:
-            item_text = encode_basestring_ascii if str in kinds else str
-            emit("[" + ",".join(map(item_text, value)) + "]")
-        else:
-            emit("[")
-            for i, item in enumerate(value):
-                if i:
-                    emit(",")
-                _write(item, emit)
-            emit("]")
-    else:
-        raise QrelnetError(f"cannot serialize {type(value).__name__}", code="invalid_input")
+        item_text = encode_basestring_ascii if kinds == {str} else str if kinds == {int} else _text
+        return f"[{','.join(map(item_text, value))}]"
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise QrelnetError("JSON object keys must be strings", code="invalid_input")
+        items = ",".join([f"{encode_basestring_ascii(key)}:{_text(value[key])}" for key in sorted(value)])
+        return f"{{{items}}}"
+    if value is None or value is True or value is False:
+        return "null" if value is None else ("true" if value else "false")
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise QrelnetError(f"cannot serialize {type(value).__name__}", code="invalid_input")
 
 
 def dumps_canonical(value) -> str:
     """Serialize to canonical JSON: sorted keys, stable float text, no spaces."""
-    out: list[str] = []
-    _write(value, out.append)
-    return "".join(out)
+    # The recursion stays in ``_text``: a wrapper bound to this name sees one call.
+    return _text(value)
 
 
 def rational_text(x) -> str:

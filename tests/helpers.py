@@ -8,16 +8,19 @@ loop and the plain deletion/contraction recursion instead of vectorized
 enumeration and the frontier dynamic program, one quotient graph per
 partition instead of one frontier pass per side, a per-state dict walk
 instead of label arrays for the frontier compile, a per-entry decoder instead
-of one array conversion for amplitudes) so agreement is evidence, not
-tautology.
+of one array conversion for amplitudes, a tree walk that emits text pieces
+instead of one string per value for canonical JSON) so agreement is evidence,
+not tautology.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import networkx as nx
 import numpy as np
@@ -34,6 +37,7 @@ from qrelnet import (
     single_block,
     singletons,
 )
+from qrelnet.serialize import _float_text
 
 
 def bfs_is_connected(g: Graph, state: int) -> bool:
@@ -437,6 +441,18 @@ def frontier_tables_oracle(g: Graph, u):
     return 0 if stranded else 1, tables, finals
 
 
+def rejection(fn, *args) -> tuple[str, int]:
+    """Code of the ``QrelnetError`` that ``fn(*args)`` raises, and the peak bytes it traced."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+    except QrelnetError as exc:
+        return exc.code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    raise AssertionError(f"{fn.__name__}{args!r} raised nothing")
+
+
 def horizontal_first_grid(rows: int, cols: int) -> Graph:
     """Grid with every horizontal edge listed before any vertical one (a wide frontier)."""
     name = lambda r, c: f"g{r}_{c}"
@@ -463,3 +479,50 @@ def amplitudes_oracle(values) -> np.ndarray:
         except OverflowError:
             raise QrelnetError("complex part too large for a float", code="invalid_state") from None
     return np.array(out, dtype=np.complex128)
+
+
+def _write(value, emit) -> None:
+    if value is None or value is True or value is False:
+        emit("null" if value is None else ("true" if value else "false"))
+    elif isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        emit(str(value))
+    elif isinstance(value, float):
+        emit(_float_text(value))
+    elif isinstance(value, dict):
+        emit("{")
+        first = True
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise QrelnetError("JSON object keys must be strings", code="invalid_input")
+            if not first:
+                emit(",")
+            first = False
+            emit(encode_basestring_ascii(key))
+            emit(":")
+            _write(value[key], emit)
+        emit("}")
+    elif isinstance(value, (list, tuple)):
+        # Lists of exact strs or exact ints (no bools) are one join each:
+        # the bulk of a large output, such as a connectivity matrix.
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {int}:
+            item_text = encode_basestring_ascii if str in kinds else str
+            emit("[" + ",".join(map(item_text, value)) + "]")
+        else:
+            emit("[")
+            for i, item in enumerate(value):
+                if i:
+                    emit(",")
+                _write(item, emit)
+            emit("]")
+    else:
+        raise QrelnetError(f"cannot serialize {type(value).__name__}", code="invalid_input")
+
+
+def dumps_canonical_oracle(value) -> str:
+    """Canonical JSON by a tree walk that emits text pieces into one list."""
+    out: list[str] = []
+    _write(value, out.append)
+    return "".join(out)

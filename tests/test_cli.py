@@ -346,6 +346,20 @@ def test_usage_errors():
     assert json.loads(err)["error"]["code"] == "usage"
 
 
+@pytest.mark.parametrize("env, p, expected", [
+    ("-1", "0.5,0.5,0.5", ("usage", "QRELNET_MAX_EDGES must be non-negative, got -1")),
+    (None, "1ex,1,1", ("invalid_probability", "bad probability '1ex': ")),
+])
+def test_cli_guards(tmp_path, monkeypatch, env, p, expected):
+    if env is not None:
+        monkeypatch.setenv("QRELNET_MAX_EDGES", env)
+    g = write_json(tmp_path, "g.json", TRIANGLE)
+    code, out, err = run_cli("reliability", "--graph", g, "--p", p, "--exact")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == expected[0] and error["message"].startswith(expected[1])
+
+
 def test_width_mismatch(tmp_path):
     g = write_json(tmp_path, "g.json", TRIANGLE)
     code, _, err = run_cli("reliability", "--graph", g, "--p", "0.5,0.5")

@@ -16,11 +16,12 @@ from qrelnet import (
     qr_operator,
     quotient,
     singletons,
+    two_term_state,
     vertex_partition_map,
 )
 from qrelnet.graphs import component_traces
 
-from helpers import random_graph
+from helpers import random_graph, rejection
 
 
 def triangle():
@@ -141,3 +142,15 @@ def test_component_trace_island_example():
     assert finals[ids[0b1]] is None
     ids, finals = component_traces(g, ("a", "b", "c"))
     assert finals[ids[0b1]] == Partition((("a", "b"), ("c",)))
+
+
+@pytest.mark.parametrize("fn, args, expected", [
+    (two_term_state, (Graph(("a", "b"), (("a", "b"),)), True, 0, 0.5), "invalid_state"),
+    (edge_state_to_text, (4, 2), "width_mismatch"),
+    (contract_edge, (Graph(("a", "b"), (("a", "b"),)), 1), "invalid_edge"),
+    (delete_edge, (Graph(("a", "b"), (("a", "b"),)), -1), "invalid_edge"),
+    (component_traces, (Graph(("a", "b"), (("a", "b"),)), ["zz"]), "invalid_partition"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_graph_guards(fn, args, expected):
+    code, peak = rejection(fn, *args)
+    assert code == expected and peak < 1 << 20

@@ -43,6 +43,7 @@ from helpers import (
     random_graph,
     random_probabilities,
     random_split,
+    rejection,
     split_diag_fraction_loop,
     sum_in_order,
 )
@@ -304,3 +305,28 @@ def test_born_sample_basis_state_is_exact():
     up = product_state([QubitSpec(1.0)])
     est = born_sample(g, up, 1000, seed=3)
     assert est.estimate == 1.0 and est.stderr == 0.0
+
+
+def test_born_draws_past_the_cumulative_table_skip_zero_weight_states(monkeypatch):
+    # Weights summing to 1 - 5e-11 pass the norm check; a draw past their
+    # sum must not land on the all-up state, whose amplitude is zero.
+    class LastDraw:
+        def random(self, n):
+            return np.full(n, 1 - 1e-12)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: LastDraw())
+    psi = StateVector(1, np.array([math.sqrt(1 - 5e-11), 0]))
+    assert qr_value(qr_operator(g1()), psi) == 0.0
+    assert born_sample(g1(), psi, 10, seed=0).estimate == 0.0
+
+
+# Not reached by any input: the Fraction fallback of split_operator, since
+# the splitting identity makes every entry of the scaled sum a multiple of
+# the common denominator.
+@pytest.mark.parametrize("fn, args, expected", [
+    (DiagonalOperator, (25, np.zeros(1)), "capacity"),
+    (qr_split_value, (g1(), g1(), ["a"], random_state(2, 0), random_state(1, 0)), "width_mismatch"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_operator_guards(fn, args, expected):
+    code, peak = rejection(fn, *args)
+    assert code == expected and peak < 1 << 20

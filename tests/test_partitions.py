@@ -20,7 +20,7 @@ from qrelnet import (
 )
 from qrelnet.partitions import M3_REFERENCE_ORDER
 from qrelnet.operators import split_sum
-from helpers import assert_beta_identities, invert_exact, pairwise_merge_alpha
+from helpers import assert_beta_identities, invert_exact, pairwise_merge_alpha, rejection
 
 # Bell numbers 0..8, from the standard recurrence worked by hand.
 BELLS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -187,3 +187,15 @@ def test_split_sum_weights_have_fraction_bits():
         left = [float(k == i) for k in range(size)]
         right = [float(k == j) for k in range(size)]
         assert split_sum(cm, left, right).hex() == float(beta[i][j]).hex()
+
+
+# Not reached by any input under the seven-element matrix cap: the float64
+# and int64 bounds of matrix_for_order and its inverse probe.
+@pytest.mark.parametrize("fn, args, expected", [
+    (bell_number, (-1,), "invalid_input"),
+    (matrix_for_order, ([],), "invalid_partition"),
+    (matrix_for_order, (enumerate_partitions("abcdefgh"),), "capacity"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_partition_guards(fn, args, expected):
+    code, peak = rejection(fn, *args)
+    assert code == expected and peak < 1 << 20

@@ -21,7 +21,7 @@ from qrelnet.serialize import (
     rational_text,
 )
 
-from helpers import amplitudes_oracle
+from helpers import amplitudes_oracle, dumps_canonical_oracle
 
 
 def test_dumps_sorts_keys_and_formats_floats():
@@ -70,6 +70,33 @@ def test_dumps_writes_homogeneous_lists_like_json():
 @given(value=JSON_VALUES)
 def test_dumps_matches_json_without_floats(value):
     assert dumps_canonical(value) == _json_dumps(value)
+
+
+# With floats, the emitting tree walk the writer replaced is the oracle.
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+JSON_VALUES_WITH_FLOATS = st.recursive(
+    JSON_LEAVES | FLOATS | st.lists(FLOATS) | st.lists(FLOATS | st.integers()),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(value=JSON_VALUES_WITH_FLOATS)
+def test_dumps_matches_the_emitting_writer(value):
+    assert dumps_canonical(value) == dumps_canonical_oracle(value)
+
+
+@pytest.mark.parametrize("value, message", [
+    ({1: "a"}, "JSON object keys must be strings"),
+    ({"a": [1, {2: 0}]}, "JSON object keys must be strings"),
+    ([1, {1, 2}], "cannot serialize set"),
+    ({"a": Fraction(1, 2)}, "cannot serialize Fraction"),
+])
+def test_dumps_rejects_what_json_cannot_hold(value, message):
+    with pytest.raises(QrelnetError, match=message) as info:
+        dumps_canonical(value)
+    assert info.value.code == "invalid_input"
 
 
 def test_dumps_rejects_non_finite():

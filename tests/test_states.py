@@ -20,6 +20,8 @@ from qrelnet import (
     two_term_state,
 )
 
+from helpers import rejection
+
 
 def test_qubit_amplitudes():
     s = qubit(QubitSpec(1.0, 1.0))
@@ -146,3 +148,12 @@ def test_random_state_determinism_and_norm():
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert not np.array_equal(a.amplitudes, c.amplitudes)
     assert abs(np.linalg.norm(a.amplitudes) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("fn, args", [
+    (StateVector, (25, np.zeros(1))),
+    (random_state, (25, 0)),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_state_caps_raise_before_allocating(fn, args):
+    code, peak = rejection(fn, *args)
+    assert code == "capacity" and peak < 1 << 20
