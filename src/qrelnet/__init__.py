@@ -21,9 +21,8 @@ _HOMES = {
                "edge_state_to_text", "merged_name", "quotient", "vertex_partition_map"),
     "hybrid": ("CLASSICAL", "QUANTUM", "CorrectionTerm", "Decomposition", "HybridState",
                "SublayerResult", "canonical_decomposition", "hybrid_qr", "sublayer_qr"),
-    "operators": ("BornEstimate", "DiagonalOperator", "born_sample", "o_gamma_operator",
-                  "qr_operator", "qr_split_value", "qr_value", "split_operator", "union_graph",
-                  "verify_split"),
+    "operators": ("BornEstimate", "born_sample", "o_gamma_operator", "qr_operator",
+                  "qr_split_value", "qr_value", "split_operator", "union_graph", "verify_split"),
     "partitions": ("ConnectivityMatrix", "Partition", "bell_number", "connectivity_matrix",
                    "enumerate_partitions", "matrix_for_order", "single_block", "singletons"),
     "states": ("NORM_TOL", "QubitSpec", "StateVector", "product_state", "qubit", "random_state",

@@ -9,7 +9,6 @@ weights are the inverse connectivity matrix of the shared vertex set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 from typing import NamedTuple
@@ -18,53 +17,35 @@ import numpy as np
 
 from .classical import sum_in_order
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
-from .graphs import Graph, MAX_EDGES, component_traces, connectivity_flags
+from .graphs import Graph, component_traces, connectivity_flags
 from .partitions import ConnectivityMatrix, Partition, connectivity_matrix
 from .states import StateVector
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalOperator:
-    """Operator that is diagonal in the edge-configuration basis.
+def _frozen(diag: np.ndarray) -> np.ndarray:
+    diag.flags.writeable = False
+    return diag
 
-    ``diag`` is a read-only copy of the entries as an ndarray.  Entries are
-    exact (integers, or ``Fraction``s in an object array); projectors carry
-    only 0 and 1.
+
+def qr_operator(g: Graph) -> np.ndarray:
+    """Read-only ``uint8`` diagonal of the connectivity projector: 1 iff the state connects ``g``."""
+    return _frozen(connectivity_flags(g))
+
+
+def qr_value(op, psi: StateVector) -> float:
+    """Expectation of a diagonal operator on a state, summed in state order by ``sum_in_order``.
+
+    ``op`` is the diagonal, one number per edge state: integers, floats or
+    ``Fraction``s, as an array or array-like.
     """
-
-    num_edges: int
-    diag: np.ndarray
-
-    def __post_init__(self):
-        if not 0 <= self.num_edges <= MAX_EDGES:
-            raise QrelnetError(f"operators support 0..{MAX_EDGES} edges", code="capacity")
-        diag = np.array(self.diag)
-        if diag.shape != (1 << self.num_edges,):
-            raise WidthMismatchError(f"expected {1 << self.num_edges} diagonal entries, got shape {diag.shape}")
-        diag.flags.writeable = False
-        object.__setattr__(self, "diag", diag)
-
-    def is_projector(self) -> bool:
-        return bool(((self.diag == 0) | (self.diag == 1)).all())
-
-    def as_float(self) -> np.ndarray:
-        return self.diag.astype(float)
+    op = np.asarray(op)
+    if op.shape != psi.amplitudes.shape:
+        raise WidthMismatchError(f"operator has shape {op.shape}, state has {psi.amplitudes.shape}")
+    return sum_in_order(op.astype(float) * psi.probabilities())
 
 
-def qr_operator(g: Graph) -> DiagonalOperator:
-    """Connectivity projector of a graph: diag[state] = 1 iff state connects it."""
-    return DiagonalOperator(g.num_edges, connectivity_flags(g))
-
-
-def qr_value(op: DiagonalOperator, psi: StateVector) -> float:
-    """Expectation of a diagonal operator on a state, summed in state order by ``sum_in_order``."""
-    if op.num_edges != psi.num_edges:
-        raise WidthMismatchError(f"operator spans {op.num_edges} edges, state spans {psi.num_edges}")
-    return sum_in_order(op.as_float() * psi.probabilities())
-
-
-def o_gamma_operator(h: Graph, u, gamma: Partition) -> DiagonalOperator:
-    """Projector onto states whose component trace on ``u`` is exactly ``gamma``.
+def o_gamma_operator(h: Graph, u, gamma: Partition) -> np.ndarray:
+    """Read-only ``uint8`` diagonal of the projector onto states whose trace on ``u`` is ``gamma``.
 
     States with an island (a component disjoint from ``u``) are annihilated
     by every such projector, so the family sums to the island-free indicator,
@@ -74,7 +55,7 @@ def o_gamma_operator(h: Graph, u, gamma: Partition) -> DiagonalOperator:
         raise QrelnetError("partition does not cover exactly the given subset", code="invalid_partition")
     ids, finals = component_traces(h, u)
     hits = np.array([f == gamma for f in finals], dtype=np.uint8)
-    return DiagonalOperator(h.num_edges, hits[ids])
+    return _frozen(hits[ids])
 
 
 def union_graph(k: Graph, h: Graph, shared) -> Graph:
@@ -124,7 +105,7 @@ def split_sides(k: Graph, h: Graph, shared):
 def quotient_values(side, psi: StateVector) -> list[float]:
     """``qr_value`` on ``psi`` of every quotient in a ``(table, ids)`` side, a row at a time."""
     table, ids = side
-    return [qr_value(DiagonalOperator(psi.num_edges, row[ids]), psi) for row in table]
+    return [qr_value(row[ids], psi) for row in table]
 
 
 def split_terms(cm: ConnectivityMatrix, left, right) -> list[tuple[int, int, int, float]]:
@@ -138,7 +119,7 @@ def split_sum(cm: ConnectivityMatrix, left, right) -> float:
     return sum_in_order([term[3] for term in split_terms(cm, left, right)])
 
 
-def split_operator(k: Graph, h: Graph, shared) -> DiagonalOperator:
+def split_operator(k: Graph, h: Graph, shared) -> np.ndarray:
     """Reliability operator of the glued network, assembled from quotients.
 
     Computes ``sum over (gamma, gamma') of beta[gamma][gamma'] *
@@ -155,14 +136,14 @@ def split_operator(k: Graph, h: Graph, shared) -> DiagonalOperator:
     whole, rest = np.divmod(scaled, cm.denominator)
     if rest.any():
         whole = np.array([Fraction(x, cm.denominator) for x in scaled.tolist()], dtype=object)
-    return DiagonalOperator(k.num_edges + h.num_edges, whole)
+    return _frozen(whole)
 
 
 def verify_split(k: Graph, h: Graph, shared) -> bool:
     """Exact entrywise check of the splitting against the direct operator."""
     assembled = split_operator(k, h, shared)
     direct = qr_operator(union_graph(k, h, shared))
-    return np.array_equal(assembled.diag, direct.diag)
+    return np.array_equal(assembled, direct)
 
 
 def qr_split_value(k: Graph, h: Graph, shared, psi_k: StateVector, psi_h: StateVector) -> float:
@@ -208,7 +189,7 @@ def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
     states = np.searchsorted(cdf, draws, side="right")
     # cdf[-1] may end below 1: later draws take the last state of positive weight.
     np.clip(states, 0, np.flatnonzero(probs)[-1], out=states)
-    flags = qr_operator(g).as_float()
+    flags = qr_operator(g).astype(float)
     estimate = float(np.mean(flags[states]))
     stderr = sqrt(estimate * (1.0 - estimate) / n)
     return BornEstimate(estimate, stderr)

@@ -349,8 +349,8 @@ def split_diag_fraction_loop(k: Graph, h: Graph, shared) -> list:
     parts = enumerate_partitions(shared)
     beta = invert_exact(pairwise_merge_alpha(parts))
     nb = len(parts)
-    kd = [qr_operator(quotient(k, shared, p)).diag.tolist() for p in parts]
-    hd = [qr_operator(quotient(h, shared, p)).diag.tolist() for p in parts]
+    kd = [qr_operator(quotient(k, shared, p)).tolist() for p in parts]
+    hd = [qr_operator(quotient(h, shared, p)).tolist() for p in parts]
     mid = [
         [sum(beta[i][j] * kd[i][sk] for i in range(nb) if kd[i][sk]) for sk in range(k.num_states)]
         for j in range(nb)

@@ -175,21 +175,21 @@ def test_criterion_05_component_projector_identities():
             k = Graph(k_verts, _side_edges(rng, k_verts, rng.randint(1, 4)))
             h = Graph(h_verts, _side_edges(rng, h_verts, rng.randint(0, 8)))
             cm = connectivity_matrix(shared)
-            ogs = [o_gamma_operator(h, shared, gamma).diag.tolist() for gamma in cm.order]
+            ogs = [o_gamma_operator(h, shared, gamma).tolist() for gamma in cm.order]
             # Every quotient projector on the classical side is the
             # alpha-weighted sum of component projectors, entry by entry.
             for j, gamma_prime in enumerate(cm.order):
-                direct = qr_operator(quotient(h, shared, gamma_prime)).diag.tolist()
+                direct = qr_operator(quotient(h, shared, gamma_prime)).tolist()
                 for s in range(h.num_states):
                     total = sum(cm.alpha[j][i] * ogs[i][s] for i in range(len(cm.order)))
                     assert total == direct[s]
             # The glued projector is the sum of quotient-projector tensor
             # component-projector blocks, with integer equality.
             g = union_graph(k, h, shared)
-            direct_union = qr_operator(g).diag.tolist()
+            direct_union = qr_operator(g).tolist()
             assembled = [0] * g.num_states
             for i, gamma in enumerate(cm.order):
-                dk = qr_operator(quotient(k, shared, gamma)).diag.tolist()
+                dk = qr_operator(quotient(k, shared, gamma)).tolist()
                 for ik, bit in enumerate(dk):
                     if not bit:
                         continue

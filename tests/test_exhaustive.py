@@ -1,0 +1,80 @@
+"""Exhaustive small-scope checks of the operators over ``networkx.graph_atlas_g()``.
+
+No randomness: every graph of the atlas up to a size bound, every cut of it
+into two edge sets and every kept vertex set is checked.  Small scopes find
+the corner cases (isolated vertices, a kept set that is all of the graph, a
+side with one edge) that random graphs reach only by chance.
+"""
+
+from itertools import combinations
+
+import networkx as nx
+import numpy as np
+
+from qrelnet import Graph, connectivity_matrix, enumerate_partitions, o_gamma_operator, qr_operator, quotient
+from qrelnet.operators import quotient_table, verify_split
+
+from helpers import bfs_trace
+
+ATLAS = nx.graph_atlas_g()
+
+
+def atlas_graphs(max_vertices: int, max_edges: int):
+    """``(index, Graph)`` of every atlas graph within both bounds, vertices named by their numbers."""
+    for index, g in enumerate(ATLAS):
+        if g.number_of_nodes() <= max_vertices and g.number_of_edges() <= max_edges:
+            yield index, Graph(tuple(map(str, g.nodes())), tuple((str(a), str(b)) for a, b in g.edges()))
+
+
+def cuts(g: Graph):
+    """Every split of the edges of ``g`` into two graphs ``k`` and ``h`` that share a vertex.
+
+    Each side holds the endpoints of its edges; isolated vertices go to ``h``.
+    """
+    isolated = tuple(v for v in g.vertices if not any(v in e for e in g.edges))
+    for mask in range(1 << g.num_edges):
+        k_edges = tuple(e for i, e in enumerate(g.edges) if mask >> i & 1)
+        h_edges = tuple(e for i, e in enumerate(g.edges) if not mask >> i & 1)
+        k_vertices = tuple(v for v in g.vertices if any(v in e for e in k_edges))
+        h_vertices = tuple(v for v in g.vertices if v in isolated or any(v in e for e in h_edges))
+        shared = [v for v in k_vertices if v in h_vertices]
+        if shared:
+            yield Graph(k_vertices, k_edges), Graph(h_vertices, h_edges), shared
+
+
+def kept_sets():
+    """``(Graph, u)`` for every atlas graph with at most 4 vertices and every kept set of 1-3 of them."""
+    for _, g in atlas_graphs(4, 6):  # K4 has 6 edges, so this is every graph up to 4 vertices
+        for size in range(1, min(3, len(g.vertices)) + 1):
+            for u in combinations(g.vertices, size):
+                yield g, list(u)
+
+
+def test_every_cut_of_the_small_atlas_splits_exactly():
+    count = 0
+    for index, g in atlas_graphs(5, 8):
+        for k, h, shared in cuts(g):
+            assert verify_split(k, h, shared), (index, k, h, shared)
+            count += 1
+    assert count == 1818
+
+
+def test_o_gamma_projectors_are_the_component_traces():
+    count = 0
+    for g, u in kept_sets():
+        partitions = enumerate_partitions(u)
+        ops = np.array([o_gamma_operator(g, u, gamma) for gamma in partitions])
+        traces = [bfs_trace(g, u, state) for state in range(g.num_states)]
+        # One projector per trace, so the family sums to the island-free indicator.
+        assert ops.sum(axis=0).tolist() == [int(t is not None) for t in traces]
+        assert ops.tolist() == [[int(t == gamma) for t in traces] for gamma in partitions]
+        count += 1
+    assert count == 189
+
+
+def test_quotient_table_rows_are_the_quotient_projectors():
+    for g, u in kept_sets():
+        cm = connectivity_matrix(u)
+        table, ids = quotient_table(g, u, cm)
+        for row, gamma in zip(table, cm.order):
+            assert np.array_equal(row[ids], qr_operator(quotient(g, u, gamma))), (g, u, gamma)

@@ -128,11 +128,11 @@ def test_vertex_partition_map_is_contiguous():
 
 
 def test_connectivity_conventions():
-    assert qr_operator(Graph((), ())).diag.tolist() == [1]
-    assert qr_operator(Graph(("a",), ())).diag.tolist() == [1]
-    assert qr_operator(Graph(("a", "b"), ())).diag.tolist() == [0]
+    assert qr_operator(Graph((), ())).tolist() == [1]
+    assert qr_operator(Graph(("a",), ())).tolist() == [1]
+    assert qr_operator(Graph(("a", "b"), ())).tolist() == [0]
     loop_only = Graph(("a", "b"), (("a", "a"),))
-    assert qr_operator(loop_only).diag.tolist() == [0, 0]
+    assert qr_operator(loop_only).tolist() == [0, 0]
 
 
 def test_component_trace_island_example():

@@ -9,7 +9,6 @@ import pytest
 
 from qrelnet import (
     CapacityError,
-    DiagonalOperator,
     Graph,
     OverlapError,
     Partition,
@@ -62,10 +61,10 @@ def k3():
 
 
 def test_qr_operator_small_fixtures():
-    assert qr_operator(g1()).diag.tolist() == [0, 1]
-    assert qr_operator(g2()).diag.tolist() == [0, 1, 1, 1]
+    assert qr_operator(g1()).tolist() == [0, 1]
+    assert qr_operator(g2()).tolist() == [0, 1, 1, 1]
     # Triangle: connected exactly when at least two edges survive.
-    assert qr_operator(k3()).diag.tolist() == [0, 0, 0, 1, 0, 1, 1, 1]
+    assert qr_operator(k3()).tolist() == [0, 0, 0, 1, 0, 1, 1, 1]
 
 
 def test_qr_operator_is_projector():
@@ -73,17 +72,9 @@ def test_qr_operator_is_projector():
     for _ in range(20):
         g = random_graph(rng, 5, 6)
         op = qr_operator(g)
-        assert op.is_projector()
+        assert np.isin(op, (0, 1)).all()
         for state in range(g.num_states):
-            assert op.diag[state] == (1 if bfs_is_connected(g, state) else 0)
-
-
-def test_diagonal_operator_validation():
-    with pytest.raises(WidthMismatchError):
-        DiagonalOperator(2, (1, 0))
-    op = DiagonalOperator(1, (Fraction(1, 2), 1))
-    assert not op.is_projector()
-    assert np.allclose(op.as_float(), [0.5, 1.0])
+            assert op[state] == (1 if bfs_is_connected(g, state) else 0)
 
 
 def test_diagonals_are_read_only_arrays():
@@ -91,15 +82,11 @@ def test_diagonals_are_read_only_arrays():
     h = Graph(("a", "b", "c"), (("a", "c"), ("c", "b")))
     u = ("a", "b")
     cases = ((qr_operator(k3()), np.uint8), (o_gamma_operator(h, u, single_block(u)), np.uint8),
-             (split_operator(k, h, u), np.int64), (DiagonalOperator(1, (Fraction(1, 2), 1)), object))
+             (split_operator(k, h, u), np.int64))
     for op, dtype in cases:
-        assert op.diag.dtype == dtype
+        assert isinstance(op, np.ndarray) and op.ndim == 1 and op.dtype == dtype
         with pytest.raises(ValueError):
-            op.diag[0] = 0
-    source = np.zeros(2, dtype=np.uint8)
-    op = DiagonalOperator(1, source)
-    source[0] = 1
-    assert op.diag.tolist() == [0, 0] and source.flags.writeable
+            op[0] = 0
 
 
 def test_qr_value_on_basis_states_is_diag_entry():
@@ -108,7 +95,7 @@ def test_qr_value_on_basis_states_is_diag_entry():
     for state in range(g.num_states):
         amps = np.zeros(g.num_states, dtype=complex)
         amps[state] = 1.0
-        assert qr_value(op, StateVector(g.num_edges, amps)) == float(op.diag[state])
+        assert qr_value(op, StateVector(g.num_edges, amps)) == float(op[state])
 
 
 def test_qr_value_entangled_g2_examples():
@@ -143,19 +130,30 @@ def test_qr_value_is_the_per_state_loop_bit_for_bit():
         psi = random_state(n, n)
         probs = psi.probabilities().tolist()
         diag = [rng.randint(0, 1) for _ in range(1 << n)]
-        op = DiagonalOperator(n, np.array(diag, dtype=np.uint8))
+        op = np.array(diag, dtype=np.uint8)
         assert qr_value(op, psi) == sum_in_order(d * p for d, p in zip(diag, probs))
     for n in (1, 4, 10):
         psi = random_state(n, 100 + n)
         probs = psi.probabilities().tolist()
         diag = [Fraction(rng.randint(-7, 7), rng.randint(1, 9)) for _ in range(1 << n)]
-        op = DiagonalOperator(n, np.array(diag, dtype=object))
+        op = np.array(diag, dtype=object)
         assert qr_value(op, psi) == sum_in_order(float(d) * p for d, p in zip(diag, probs))
 
 
 def test_qr_value_width_mismatch():
-    with pytest.raises(WidthMismatchError):
-        qr_value(qr_operator(g1()), random_state(2, 0))
+    psi = random_state(2, 0)
+    for op in (qr_operator(g1()), np.ones(3), np.ones((2, 2)), np.ones((4, 1)), 1.0):
+        with pytest.raises(WidthMismatchError):
+            qr_value(op, psi)
+
+
+def test_qr_value_takes_fraction_arrays_and_lists():
+    psi = StateVector(2, np.full(4, 0.5))  # weight 1/4 on every state
+    diag = [Fraction(7), Fraction(1, 2), Fraction(-1, 3), Fraction(5)]
+    expected = ((7 * 0.25 + 0.5 * 0.25) + (-1 / 3) * 0.25) + 5 * 0.25
+    assert qr_value(np.array(diag, dtype=object), psi) == expected
+    assert qr_value(diag, psi) == expected
+    assert qr_value([0, 1, 1, 1], psi) == qr_value(qr_operator(g2()), psi) == 0.75
 
 
 def test_extension_axiom_small():
@@ -171,11 +169,11 @@ def test_extension_axiom_small():
 def test_o_gamma_spec_examples():
     edgeless = Graph(("1", "2"), ())
     u = ("1", "2")
-    assert o_gamma_operator(edgeless, u, singletons(u)).diag.tolist() == [1]
-    assert o_gamma_operator(edgeless, u, single_block(u)).diag.tolist() == [0]
+    assert o_gamma_operator(edgeless, u, singletons(u)).tolist() == [1]
+    assert o_gamma_operator(edgeless, u, single_block(u)).tolist() == [0]
     edge = Graph(("1", "2"), (("1", "2"),))
-    assert o_gamma_operator(edge, u, single_block(u)).diag.tolist() == [0, 1]
-    assert o_gamma_operator(edge, u, singletons(u)).diag.tolist() == [1, 0]
+    assert o_gamma_operator(edge, u, single_block(u)).tolist() == [0, 1]
+    assert o_gamma_operator(edge, u, singletons(u)).tolist() == [1, 0]
 
 
 def test_o_gamma_family_partitions_island_free_states():
@@ -185,7 +183,7 @@ def test_o_gamma_family_partitions_island_free_states():
         u = sorted(rng.sample(h.vertices, rng.randint(1, min(3, len(h.vertices)))))
         ops = [o_gamma_operator(h, u, gamma) for gamma in enumerate_partitions(u)]
         for state in range(h.num_states):
-            hits = [op.diag[state] for op in ops]
+            hits = [op[state] for op in ops]
             island_free = bfs_trace(h, u, state) is not None
             assert sum(hits) == (1 if island_free else 0)
 
@@ -226,7 +224,7 @@ def test_split_operator_single_shared_edge_fixture():
     k = Graph(("a", "b"), (("a", "b"),))
     h = Graph(("a", "b"), (("a", "b"),))
     op = split_operator(k, h, ["a", "b"])
-    assert op.diag.tolist() == [0, 1, 1, 1]
+    assert op.tolist() == [0, 1, 1, 1]
     assert verify_split(k, h, ["a", "b"])
 
 
@@ -235,7 +233,7 @@ def test_split_operator_k3_fixture():
     h = Graph(("a", "b", "c"), (("a", "c"), ("c", "b")))
     assert verify_split(k, h, ["a", "b"])
     direct = qr_operator(union_graph(k, h, ["a", "b"]))
-    assert split_operator(k, h, ["a", "b"]).diag.tolist() == direct.diag.tolist()
+    assert split_operator(k, h, ["a", "b"]).tolist() == direct.tolist()
 
 
 def test_split_operator_random_instances_exact():
@@ -250,14 +248,14 @@ def test_split_operator_matches_rational_loop_oracle():
     for num_shared in (1, 2, 3, 4):
         for _ in range(6):
             k, h, shared = random_split(rng, num_shared, 2, 8)
-            assert split_operator(k, h, shared).diag.tolist() == split_diag_fraction_loop(k, h, shared)
+            assert split_operator(k, h, shared).tolist() == split_diag_fraction_loop(k, h, shared)
 
 
 def test_split_operator_values_are_zero_one():
     rng = random.Random(73)
     for _ in range(10):
         k, h, shared = random_split(rng, 2, 2, 6)
-        assert split_operator(k, h, shared).is_projector()
+        assert np.isin(split_operator(k, h, shared), (0, 1)).all()
 
 
 def test_qr_split_value_matches_direct_tensor_path():
@@ -324,7 +322,7 @@ def test_born_draws_past_the_cumulative_table_skip_zero_weight_states(monkeypatc
 # the splitting identity makes every entry of the scaled sum a multiple of
 # the common denominator.
 @pytest.mark.parametrize("fn, args, expected", [
-    (DiagonalOperator, (25, np.zeros(1)), "capacity"),
+    (qr_value, (np.zeros(3), random_state(1, 0)), "width_mismatch"),
     (qr_split_value, (g1(), g1(), ["a"], random_state(2, 0), random_state(1, 0)), "width_mismatch"),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_operator_guards(fn, args, expected):

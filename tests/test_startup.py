@@ -111,3 +111,19 @@ def test_the_cli_process_runs_one_thread():
             "assert main(['matrix', '--m', '4']) == 0\n"
             "print(len(os.listdir('/proc/self/task')))")
     assert run_fresh(code) == "1"
+
+
+def test_python_m_runs_the_cli_from_a_checkout(tmp_path):
+    # The route the README gives for a checkout with no install: PYTHONPATH
+    # alone, run from elsewhere, so nothing but the source tree supplies qrelnet.
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "qrelnet.cli", *argv], env={**os.environ, "PYTHONPATH": SRC},
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    ok = run("matrix", "--m", "2")
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout == ('{"alpha":[[1,1],[1,0]],"beta":[["0","1"],["1","-1"]],"m":2,'
+                         '"order":[[["1","2"]],[["1"],["2"]]],"schema":"qrelnet/1"}\n')
+    bad = run("bogus")
+    assert (bad.returncode, bad.stdout, len(bad.stderr.splitlines())) == (2, "", 1)
+    assert json.loads(bad.stderr)["error"]["code"] == "usage"
