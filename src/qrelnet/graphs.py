@@ -56,13 +56,6 @@ def check_state(g: Graph, state: int) -> None:
         raise WidthMismatchError(f"state {state} out of range for {g.num_edges} edges")
 
 
-def edge_state_to_text(state: int, num_edges: int) -> str:
-    """Render a bitmask with edge 0 leftmost."""
-    if not 0 <= state < (1 << num_edges):
-        raise WidthMismatchError(f"state {state} out of range for {num_edges} edges")
-    return "".join("1" if state >> i & 1 else "0" for i in range(num_edges))
-
-
 def edge_state_from_text(text: str) -> int:
     """Parse the text form of a state; width is the string length."""
     bits = 0
@@ -74,11 +67,6 @@ def edge_state_from_text(text: str) -> int:
     return bits
 
 
-def _check_edge_index(g: Graph, e: int) -> None:
-    if not 0 <= e < g.num_edges:
-        raise QrelnetError(f"edge index {e} out of range", code="invalid_edge")
-
-
 def merged_name(names) -> str:
     """Deterministic name for a merged vertex set."""
     return "+".join(sorted(names))
@@ -86,7 +74,8 @@ def merged_name(names) -> str:
 
 def delete_edge(g: Graph, e: int) -> Graph:
     """Remove edge ``e``; later edges shift down by one, vertices unchanged."""
-    _check_edge_index(g, e)
+    if not 0 <= e < g.num_edges:
+        raise QrelnetError(f"edge index {e} out of range", code="invalid_edge")
     return Graph(g.vertices, g.edges[:e] + g.edges[e + 1 :])
 
 
@@ -135,21 +124,10 @@ def quotient(g: Graph, u, gamma: Partition) -> Graph:
 
 
 def contract_edge(g: Graph, e: int) -> Graph:
-    """Remove edge ``e`` and merge its endpoints (a no-op merge for a loop)."""
-    _check_edge_index(g, e)
+    """Remove edge ``e`` and merge its endpoints by :func:`quotient` (no merge for a loop)."""
+    rest = delete_edge(g, e)
     a, b = g.edges[e]
-    rest = g.edges[:e] + g.edges[e + 1 :]
-    if a == b:
-        return Graph(g.vertices, rest)
-    new = merged_name((a, b))
-    relabel = {a: new, b: new}
-    vertices = []
-    for v in g.vertices:
-        w = relabel.get(v, v)
-        if w not in vertices:
-            vertices.append(w)
-    edges = tuple((relabel.get(x, x), relabel.get(y, y)) for x, y in rest)
-    return Graph(tuple(vertices), edges)
+    return rest if a == b else quotient(rest, (a, b), Partition(((a, b),)))
 
 
 def _number_partitions(live: np.ndarray, num_labels: int) -> tuple[np.ndarray, np.ndarray]:

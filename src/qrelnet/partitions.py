@@ -67,10 +67,6 @@ class Partition:
     def ground_set(self) -> frozenset[str]:
         return frozenset(v for block in self.blocks for v in block)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
 
 # Reference ordering for the partitions of three elements: singletons
 # first, pair merges, single block last.

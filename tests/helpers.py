@@ -29,6 +29,7 @@ from qrelnet import (
     Graph,
     Partition,
     QrelnetError,
+    WidthMismatchError,
     contract_edge,
     delete_edge,
     enumerate_partitions,
@@ -38,6 +39,13 @@ from qrelnet import (
     singletons,
 )
 from qrelnet.serialize import _float_text
+
+
+def edge_state_to_text(state: int, num_edges: int) -> str:
+    """Render a bitmask with edge 0 leftmost, the inverse of ``edge_state_from_text``."""
+    if not 0 <= state < (1 << num_edges):
+        raise WidthMismatchError(f"state {state} out of range for {num_edges} edges")
+    return "".join("1" if state >> i & 1 else "0" for i in range(num_edges))
 
 
 def bfs_is_connected(g: Graph, state: int) -> bool:

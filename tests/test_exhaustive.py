@@ -1,4 +1,4 @@
-"""Exhaustive small-scope checks of the operators over ``networkx.graph_atlas_g()``.
+"""Exhaustive small-scope checks of operators and reliability over ``networkx.graph_atlas_g()``.
 
 No randomness: every graph of the atlas up to a size bound, every cut of it
 into two edge sets and every kept vertex set is checked.  Small scopes find
@@ -6,15 +6,26 @@ the corner cases (isolated vertices, a kept set that is all of the graph, a
 side with one edge) that random graphs reach only by chance.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 import numpy as np
+import sympy
 
-from qrelnet import Graph, connectivity_matrix, enumerate_partitions, o_gamma_operator, qr_operator, quotient
+from qrelnet import (
+    Graph,
+    connectivity_matrix,
+    enumerate_partitions,
+    o_gamma_operator,
+    qr_operator,
+    quotient,
+    reliability_enumerate,
+    reliability_factorize,
+)
 from qrelnet.operators import quotient_table, verify_split
 
-from helpers import bfs_trace
+from helpers import bfs_trace, factorize_oracle
 
 ATLAS = nx.graph_atlas_g()
 
@@ -78,3 +89,38 @@ def test_quotient_table_rows_are_the_quotient_projectors():
         table, ids = quotient_table(g, u, cm)
         for row, gamma in zip(table, cm.order):
             assert np.array_equal(row[ids], qr_operator(quotient(g, u, gamma))), (g, u, gamma)
+
+
+def tutte_reliability(g: Graph, p: Fraction) -> Fraction:
+    """All-terminal reliability of connected ``g`` from its Tutte polynomial.
+
+    ``R = p^(n-1) (1-p)^(m-n+1) T(G; 1, 1/(1-p))`` for edges that work with
+    probability ``p`` (Brylawski & Oxley, 1992); networkx computes ``T`` by
+    its own deletion/contraction, sharing no code with qrelnet.
+    """
+    multigraph = nx.MultiGraph()
+    multigraph.add_nodes_from(g.vertices)
+    multigraph.add_edges_from(g.edges)
+    tutte = sympy.Poly(nx.tutte_polynomial(multigraph), *sympy.symbols("x y"))
+    q = 1 - p
+    n, m = len(g.vertices), g.num_edges
+    return p ** (n - 1) * q ** (m - n + 1) * sum(int(c) * (1 / q) ** j for (_, j), c in tutte.terms())
+
+
+def test_reliability_is_the_tutte_evaluation_on_atlas_graphs_and_multigraphs():
+    count = 0
+    for index, g in atlas_graphs(5, 10):  # K5 has 10 edges
+        if not g.vertices or not nx.is_connected(ATLAS[index]):
+            continue
+        cases = [(g, Fraction(1, 3)), (g, Fraction(2, 5))]
+        if g.edges:
+            # A self-loop and a parallel edge, which no atlas graph has.
+            loop = (g.vertices[-1], g.vertices[-1])
+            cases.append((Graph(g.vertices, (loop,) + g.edges + g.edges[:1]), Fraction(1, 3)))
+        for h, p in cases:
+            probs = [p] * h.num_edges
+            values = [reliability_enumerate(h, probs), reliability_factorize(h, probs), factorize_oracle(h, probs)]
+            assert all(isinstance(v, Fraction) for v in values), (index, h, values)
+            assert values == [tutte_reliability(h, p)] * 3, (index, h, p)
+            count += 1
+    assert count == 92

@@ -12,7 +12,6 @@ from qrelnet import (
     contract_edge,
     delete_edge,
     edge_state_from_text,
-    edge_state_to_text,
     qr_operator,
     quotient,
     singletons,
@@ -21,7 +20,7 @@ from qrelnet import (
 )
 from qrelnet.graphs import component_traces
 
-from helpers import random_graph, rejection
+from helpers import edge_state_to_text, random_graph, rejection
 
 
 def triangle():
@@ -150,6 +149,8 @@ def test_component_trace_island_example():
     (contract_edge, (Graph(("a", "b"), (("a", "b"),)), 1), "invalid_edge"),
     (delete_edge, (Graph(("a", "b"), (("a", "b"),)), -1), "invalid_edge"),
     (component_traces, (Graph(("a", "b"), (("a", "b"),)), ["zz"]), "invalid_partition"),
+    # The merged name "a+b" is another vertex's; merging that one too would connect the graph.
+    (contract_edge, (Graph(("a", "b", "a+b", "c"), (("a", "b"), ("a+b", "c"))), 0), "invalid_graph"),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_graph_guards(fn, args, expected):
     code, peak = rejection(fn, *args)

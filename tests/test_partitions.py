@@ -76,7 +76,7 @@ def test_enumerate_caps_and_empty():
 def test_alpha_is_symmetric_with_unit_diagonal_only_at_single_block():
     cm = connectivity_matrix(["1", "2", "3", "4"])
     assert np.array_equal(cm.alpha, cm.alpha.T)
-    assert cm.alpha.diagonal().tolist() == [int(p.num_blocks == 1) for p in cm.order]
+    assert cm.alpha.diagonal().tolist() == [int(len(p.blocks) == 1) for p in cm.order]
 
 
 def test_alpha_times_beta_is_identity_exactly():
