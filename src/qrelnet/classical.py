@@ -1,22 +1,27 @@
 """All-terminal reliability of multigraphs with independent edge failures.
 
-Two routes to the same number, both over the frontier tables of
-:func:`qrelnet.graphs.frontier_tables`: a chunked enumeration of the
-connected edge states, and the deletion/contraction recursion run as a
-dynamic program over frontier states.  Both accept floats or exact
-rationals; with ``fractions.Fraction`` probabilities every intermediate
-stays exact.
+Two routes to the same number, both over one frontier schedule of
+:mod:`qrelnet.graphs`: a chunked enumeration of the connected edge states,
+over the numpy tables of :func:`~qrelnet.graphs.frontier_tables`, and the
+deletion/contraction recursion run as a dynamic program over frontier
+states, over the same tables as Python lists from
+:func:`~qrelnet.graphs.frontier_lists`.  The factor route never builds a
+``2 ** |E|`` array, so it runs without numpy, which loads only in the
+functions that build arrays.  Both accept floats or exact rationals; with
+``fractions.Fraction`` probabilities every intermediate stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import QrelnetError, WidthMismatchError
-from .graphs import Graph, connectivity_flags, frontier_tables
+from .graphs import Graph, connectivity_flags, frontier_lists
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Edges whose factors are tabulated once; the states are then walked in
 # aligned chunks of 2 ** CHUNK_BITS, so memory stays flat as |E| grows.
@@ -64,6 +69,8 @@ def sum_in_order(values, start: float = 0.0) -> float:
     A prefix sum never reorders, unlike ``np.dot``, ``np.sum`` or ``sum``, so
     the result has the plain loop's bits on any machine and thread count.
     """
+    import numpy as np
+
     return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
@@ -79,6 +86,8 @@ def enumerate_flags(flags: np.ndarray, probs):
     ``Fraction``: the weights are then integer numerators over the product
     of the denominators.  Float otherwise.
     """
+    import numpy as np
+
     exact = _all_exact(probs)
     if exact:
         fracs = [Fraction(x) for x in probs]
@@ -112,17 +121,18 @@ def reliability_factorize(g: Graph, probs):
     recursion is memoized on (edge index, frontier partition), since a
     subproblem's value depends on nothing else: it runs backward over the
     frontier tables, from 1 on every live final state and 0 on the dead
-    state.  Each split is ``p * contracted + (1 - p) * deleted``, with
-    ``1 - p`` formed in ``p``'s own type, so rationals stay exact and floats
-    carry the bits of the plain recursion (a ``Fraction`` or ``int`` meets a
-    float as its ``float``).
+    state.  The tables are the Python lists of
+    :func:`~qrelnet.graphs.frontier_lists`, compiled state by state, so this
+    route loads no numpy.  Each split is ``p * contracted + (1 - p) *
+    deleted``, with ``1 - p`` formed in ``p``'s own type, so rationals stay
+    exact and floats carry the bits of the plain recursion (a ``Fraction``
+    or ``int`` meets a float as its ``float``).
     """
     probs = _validate_probabilities(g, probs)
-    start, tables, finals = frontier_tables(g, g.vertices[:1])
+    start, tables, finals = frontier_lists(g, g.vertices[:1])
     one = Fraction(1) if _all_exact(probs) else 1.0
     value = [one if f is not None else 0 * one for f in finals]
     for r, (t0, t1) in zip(reversed(probs), reversed(tables)):
         s = 1 - r
-        value = [value[a] if a == b else r * value[b] + s * value[a]
-                 for a, b in zip(t0.tolist(), t1.tolist())]
+        value = [value[a] if a == b else r * value[b] + s * value[a] for a, b in zip(t0, t1)]
     return value[start] if isinstance(one, Fraction) else float(value[start])

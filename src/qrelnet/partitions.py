@@ -23,10 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, QrelnetError
+
+# numpy loads in the functions that build arrays, so the frontier compile of
+# ``reliability --method factor`` can use ``Partition`` without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Bell(8) = 4140 partitions: enumeration stays desk-scale.
 MAX_GROUND_SET = 8
@@ -34,7 +38,7 @@ MAX_GROUND_SET = 8
 # 877 x 877 float64 products included, and the CLI prints 769,129
 # rationals.  The cap stays at 7 so `matrix --m 8` keeps its capacity error.
 MAX_MATRIX_GROUND_SET = 7
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
 # Largest bound on partial sums under which float64 products stay exact.
 _FLOAT64_EXACT = 2**53
 
@@ -148,7 +152,7 @@ class ConnectivityMatrix:
 
     def weight_pairs(self):
         """Yield ``(i, j, n)`` for every nonzero ``beta[i][j] = n / denominator``, row by row."""
-        rows, cols = np.nonzero(self.scaled)
+        rows, cols = self.scaled.nonzero()
         return zip(rows.tolist(), cols.tolist(), self.scaled[rows, cols].tolist())
 
 
@@ -171,6 +175,8 @@ def matrix_for_order(parts) -> ConnectivityMatrix:
     ``parts`` must list every partition of one ground set exactly once; any
     ordering is accepted, so reference orderings can be reproduced verbatim.
     """
+    import numpy as np
+
     parts = tuple(parts)
     if not parts:
         raise QrelnetError("empty partition order", code="invalid_partition")

@@ -3,11 +3,13 @@
 No randomness: every graph of the atlas up to a size bound, every cut of it
 into two edge sets and every kept vertex set is checked.  Small scopes find
 the corner cases (isolated vertices, a kept set that is all of the graph, a
-side with one edge) that random graphs reach only by chance.
+side with one edge) that random graphs reach only by chance.  The kept-set
+families and the reliability check run again with a self-loop added and an
+edge doubled, since no atlas graph is a multigraph.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import networkx as nx
 import numpy as np
@@ -61,6 +63,13 @@ def kept_sets():
                 yield g, list(u)
 
 
+def multigraph_kept_sets():
+    """:func:`kept_sets` with a self-loop added first to each graph and its edge 0 (if any) doubled last."""
+    for g, u in kept_sets():
+        loop = (g.vertices[-1], g.vertices[-1])
+        yield Graph(g.vertices, (loop,) + g.edges + g.edges[:1]), u
+
+
 def test_every_cut_of_the_small_atlas_splits_exactly():
     count = 0
     for index, g in atlas_graphs(5, 8):
@@ -72,7 +81,7 @@ def test_every_cut_of_the_small_atlas_splits_exactly():
 
 def test_o_gamma_projectors_are_the_component_traces():
     count = 0
-    for g, u in kept_sets():
+    for g, u in chain(kept_sets(), multigraph_kept_sets()):
         partitions = enumerate_partitions(u)
         ops = np.array([o_gamma_operator(g, u, gamma) for gamma in partitions])
         traces = [bfs_trace(g, u, state) for state in range(g.num_states)]
@@ -80,11 +89,11 @@ def test_o_gamma_projectors_are_the_component_traces():
         assert ops.sum(axis=0).tolist() == [int(t is not None) for t in traces]
         assert ops.tolist() == [[int(t == gamma) for t in traces] for gamma in partitions]
         count += 1
-    assert count == 189
+    assert count == 2 * 189
 
 
 def test_quotient_table_rows_are_the_quotient_projectors():
-    for g, u in kept_sets():
+    for g, u in chain(kept_sets(), multigraph_kept_sets()):
         cm = connectivity_matrix(u)
         table, ids = quotient_table(g, u, cm)
         for row, gamma in zip(table, cm.order):

@@ -3,7 +3,8 @@
 Every all-states connectivity user (``qr_operator``, ``o_gamma_operator``,
 ``reliability_enumerate``) runs on the engine; the per-state breadth-first
 searches in ``helpers`` are the slow route it replaced.  The compile itself
-is checked table for table against the per-state dict walk it replaced.
+is checked table for table against the per-state dict walk it replaced,
+and so is the per-state compile that the factor route runs on.
 Each splitting entry point compiles each side of its cut exactly once.
 """
 
@@ -29,7 +30,7 @@ from qrelnet import (
     split_operator,
     sublayer_qr,
 )
-from qrelnet.graphs import component_traces, frontier_tables
+from qrelnet.graphs import component_traces, frontier_lists, frontier_tables
 
 from helpers import (
     bfs_is_connected,
@@ -92,6 +93,9 @@ def test_frontier_tables_equal_the_per_state_compile():
             for table, expected in zip(tables, expected_tables):
                 assert table.dtype == expected.dtype
                 assert np.array_equal(table, expected)
+            # The numpy-free compile gives the same numbers as lists.
+            assert frontier_lists(g, u) == (expected_start, [tuple(t.tolist()) for t in expected_tables],
+                                            expected_finals)
 
 
 def test_every_split_runs_one_frontier_pass_per_side(monkeypatch):

@@ -18,7 +18,7 @@ from qrelnet import (
     single_block,
     singletons,
 )
-from qrelnet.partitions import M3_REFERENCE_ORDER
+from qrelnet.partitions import _INT64_MAX, M3_REFERENCE_ORDER
 from qrelnet.operators import split_sum
 from helpers import assert_beta_identities, invert_exact, pairwise_merge_alpha, rejection
 
@@ -121,6 +121,11 @@ def test_matrix_for_order_rejects_incomplete_or_mixed():
 def test_matrix_caps():
     with pytest.raises(CapacityError):
         connectivity_matrix([str(i) for i in range(8)])
+
+
+def test_int64_bound_is_numpy_int64_max():
+    # Written as a literal so that importing the module loads no numpy.
+    assert _INT64_MAX == np.iinfo(np.int64).max
 
 
 def test_beta_identities_small():

@@ -1,8 +1,9 @@
 """Start-up contract of the CLI process, each check in a fresh interpreter.
 
 ``import qrelnet`` loads nothing; the CLI pins OpenBLAS to one thread unless
-the user chose a count, each subcommand loads only the modules it runs, and
-no output byte depends on the BLAS thread count.
+the user chose a count, each subcommand loads only the modules it runs,
+``reliability --method factor`` loads no numpy, and no output byte depends
+on the BLAS thread count.
 """
 
 import json
@@ -72,6 +73,31 @@ def test_reliability_loads_no_quantum_module(tmp_path):
     loaded = loaded_after(["reliability", "--graph", str(graph), "--p", "0.5,0.5"])
     assert "classical" in loaded
     assert not loaded & {"states", "operators", "hybrid"}
+
+
+def numpy_loaded_after(argv) -> bool:
+    """Whether numpy is loaded once ``main(argv)`` has run."""
+    code = ("import json, sys\n"
+            "from qrelnet.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(json.dumps('numpy' in sys.modules))")
+    return json.loads(run_fresh(code))
+
+
+@pytest.mark.parametrize("method, exact, loads_numpy",
+                         [("factor", False, False), ("factor", True, False), ("enum", False, True)])
+def test_reliability_loads_numpy_only_to_enumerate(tmp_path, method, exact, loads_numpy):
+    # The factor route runs on the per-state compile; enumeration walks 2^|E| flags.
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}))
+    argv = ["reliability", "--graph", str(graph), "--p", "1/2,1/3,1/4" if exact else "0.5,0.25,0.75",
+            "--method", method] + ["--exact"] * exact
+    assert numpy_loaded_after(argv) is loads_numpy
+
+
+def test_the_graph_partition_and_classical_modules_import_no_numpy():
+    code = "import sys, qrelnet.graphs, qrelnet.partitions, qrelnet.classical; print('numpy' in sys.modules)"
+    assert run_fresh(code) == "False"
 
 
 def test_qr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
