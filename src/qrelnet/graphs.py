@@ -255,8 +255,8 @@ def frontier_lists(g: Graph, u) -> tuple[int, list[tuple[list[int], list[int]]],
     labels, each vertex labelled by the first frontier column in its
     component, and a dict numbers the new ones by first appearance, state
     by state, edge absent before edge present.  On a 2-vCPU VM it costs
-    about 3-4 us per search state against about 0.5 us for the arrays, so
-    it pays where the numpy import would cost more.
+    about 4-6 us per search state against about 0.5-1 us for the arrays,
+    so it pays only where the numpy import would cost more.
     """
     frontier, stranded, steps = _frontier_schedule(g, u)
     states = [] if stranded else [tuple(range(len(frontier)))]
@@ -267,14 +267,7 @@ def frontier_lists(g: Graph, u) -> tuple[int, list[tuple[list[int], list[int]]],
         absent, present = [0], [0]
         for labels in states:
             labels += fresh
-            # Labels name first columns, so the joined component takes the smaller.
-            x, y = sorted((labels[ia], labels[ib]))
-            if not leaving:
-                # Every column stays, so the labels are already canonical.
-                absent.append(number.setdefault(labels, len(number) + 1))
-                joined = labels if x == y else tuple([x if lab == y else lab for lab in labels])
-                present.append(number.setdefault(joined, len(number) + 1))
-                continue
+            x, y = labels[ia], labels[ib]
             live = [labels[i] for i in kept]
             if all(labels[i] in live for i in leaving):
                 absent.append(number.setdefault(tuple(map(live.index, live)), len(number) + 1))
