@@ -1,19 +1,23 @@
 """All-terminal reliability of multigraphs with independent edge failures.
 
 Two routes to the same number, both over one frontier schedule of
-:mod:`qrelnet.graphs`: a chunked enumeration of the connected edge states,
-over the numpy tables of :func:`~qrelnet.graphs.frontier_tables`, and the
+:mod:`qrelnet.graphs`: an enumeration of the connected edge states, and the
 deletion/contraction recursion run as a dynamic program over frontier
-states, over the same tables as Python lists from
-:func:`~qrelnet.graphs.frontier_lists`.  The factor route never builds a
-``2 ** |E|`` array, so it runs without numpy, which loads only in the
+states.  The factor route, and the enumeration while its ``2 ** |E|``
+states fit one chunk, run on the transition tables as Python lists from
+:func:`~qrelnet.graphs.frontier_lists`, with no numpy; a larger
+enumeration walks the numpy tables of
+:func:`~qrelnet.graphs.frontier_tables` in chunks.  numpy loads only in the
 functions that build arrays.  Both accept floats or exact rationals; with
 ``fractions.Fraction`` probabilities every intermediate stays exact.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from math import prod
 from typing import TYPE_CHECKING
 
@@ -52,15 +56,45 @@ def _all_exact(probs) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in probs)
 
 
+def _factors(probs) -> tuple[list[tuple], int | None]:
+    """Each edge's weight factors ``(absent, present)``, and their denominator.
+
+    Exact when every probability is an ``int`` or ``Fraction``: the factors
+    are then integer numerators over one common denominator, the product of
+    the probabilities' denominators.  Otherwise they are floats of ``1 - p``
+    (formed in ``p``'s own type) and ``p``, and the denominator is ``None``.
+    """
+    if _all_exact(probs):
+        fracs = [Fraction(x) for x in probs]
+        return [(f.denominator - f.numerator, f.numerator) for f in fracs], prod(f.denominator for f in fracs)
+    return [(float(1 - x), float(x)) for x in probs], None
+
+
 def reliability_enumerate(g: Graph, probs):
     """Probability that the surviving edges connect all vertices, by enumeration.
 
-    Sums the Bernoulli weights of the connected edge states, which come from
-    one frontier pass (see :func:`enumerate_flags`).  Exact when every
-    probability is an ``int`` or ``Fraction``, float otherwise.
+    Sums the weights of the connected edge states as :func:`enumerate_flags`
+    does, to the same bits.  While the states fit one chunk (``|E| <=
+    CHUNK_BITS``) they are Python lists, doubled once per edge over the
+    tables of :func:`~qrelnet.graphs.frontier_lists`, so no numpy loads;
+    past that the lists would cost several times the time and memory of
+    the arrays.
     """
     probs = _validate_probabilities(g, probs)
-    return enumerate_flags(connectivity_flags(g), probs)
+    if g.num_edges > CHUNK_BITS:
+        return enumerate_flags(connectivity_flags(g), probs)
+    start, tables, finals = frontier_lists(g, g.vertices[:1])
+    factors, denominator = _factors(probs)
+    ids, weights = [start], [1.0 if denominator is None else 1]
+    for (t0, t1), (absent, present) in zip(tables, factors):
+        ids = list(map(t0.__getitem__, ids)) + list(map(t1.__getitem__, ids))
+        weights = [w * absent for w in weights] + [w * present for w in weights]
+    connected = [f is not None for f in finals]
+    kept = compress(weights, map(connected.__getitem__, ids))
+    if denominator is None:
+        # Not ``sum``, which compensates its float additions since Python 3.12.
+        return reduce(operator.add, kept, 0.0)
+    return Fraction(sum(kept), denominator)
 
 
 def sum_in_order(values, start: float = 0.0) -> float:
@@ -79,23 +113,16 @@ def enumerate_flags(flags: np.ndarray, probs):
 
     ``flags`` has one 0/1 entry per state of ``len(probs)`` edges, edge ``k``
     on bit ``k``; ``probs`` are already checked.  Sums in ascending state
-    order; each weight is the product of its edges' factors (``p`` present,
-    ``1 - p`` absent, formed in ``p``'s own type) taken in edge order, and
-    the float sum is :func:`sum_in_order`, so the result has the bits of the
-    plain per-state loop.  Exact when every probability is an ``int`` or
-    ``Fraction``: the weights are then integer numerators over the product
-    of the denominators.  Float otherwise.
+    order; each weight is the product of its edges' :func:`_factors` taken
+    in edge order, and the float sum is :func:`sum_in_order`, so the result
+    has the bits of the plain per-state loop.  Exact when every probability
+    is an ``int`` or ``Fraction``, float otherwise.
     """
     import numpy as np
 
-    exact = _all_exact(probs)
-    if exact:
-        fracs = [Fraction(x) for x in probs]
-        factors = [(f.denominator - f.numerator, f.numerator) for f in fracs]
-        table = np.ones(1, dtype=object)
-    else:
-        factors = [(float(1 - x), float(x)) for x in probs]
-        table = np.ones(1)
+    factors, denominator = _factors(probs)
+    exact = denominator is not None
+    table = np.ones(1, dtype=object if exact else float)
     low = min(len(factors), CHUNK_BITS)
     # table[s] is the weight of the low edges in state s, multiplied in edge order.
     for absent, present in factors[:low]:
@@ -108,7 +135,7 @@ def enumerate_flags(flags: np.ndarray, probs):
             w = w * pair[high >> i & 1]
         total = total + int(w.sum()) if exact else sum_in_order(w, total)
     if exact:
-        return Fraction(total, prod(f.denominator for f in fracs))
+        return Fraction(total, denominator)
     return total
 
 

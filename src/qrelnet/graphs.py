@@ -16,7 +16,8 @@ from .errors import CapacityError, QrelnetError, WidthMismatchError
 from .partitions import Partition, partition_of
 
 # numpy loads in the functions that build arrays, so the per-state compile
-# of ``reliability --method factor`` runs without it.
+# of ``reliability`` (factor, and enum while its states fit one chunk) runs
+# without it.
 if TYPE_CHECKING:
     import numpy as np
 

@@ -4,6 +4,8 @@
 returns, and ``reliability_factorize`` exactly what the plain
 deletion/contraction recursion returns: the same type, floats with the same
 bits, rationals equal.  Connectivity is checked a third way, by networkx.
+Enumeration walks Python lists up to ``CHUNK_BITS`` edges and chunked arrays
+past that; at the boundary the array route is the oracle of the list route.
 """
 
 import random
@@ -12,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 from qrelnet import Graph, classical, reliability_enumerate, reliability_factorize
+from qrelnet.classical import CHUNK_BITS, enumerate_flags
+from qrelnet.graphs import connectivity_flags
 
 from helpers import (
     edge_case_graphs,
@@ -51,8 +55,9 @@ def test_enumerate_matches_per_state_loop(kind, monkeypatch):
     for g in [*edge_case_graphs(42, 100, 6, 9), scrambled_k6()]:
         probs = _probabilities(rng, g.num_edges, kind)
         expected = enumerate_oracle(g, probs)
-        # Two-bit chunks send every graph with more than two edges through
-        # the chunked walk over the high edges.
+        # At 16 bits every graph here takes the list route; two-bit chunks
+        # send every graph with more than two edges through the array route
+        # and its chunked walk over the high edges.
         for chunk_bits in (16, 2):
             monkeypatch.setattr(classical, "CHUNK_BITS", chunk_bits)
             assert _same(reliability_enumerate(g, probs), expected)
@@ -75,6 +80,30 @@ def test_networkx_connectivity_route(kind):
         assert _same(reliability_enumerate(g, probs), expected)
         if kind == "fraction":
             assert _same(reliability_factorize(g, probs), expected)
+
+
+def _multigraph(rng, num_vertices: int, num_edges: int) -> Graph:
+    """Random connected multigraph with one loop and one parallel edge, in shuffled order."""
+    vertices = [f"v{i}" for i in range(num_vertices)]
+    edges = [(v, rng.choice(vertices[:i])) for i, v in enumerate(vertices) if i]
+    while len(edges) < num_edges - 2:
+        edges.append(tuple(rng.sample(vertices, 2)))
+    edges += [(vertices[0], vertices[0]), rng.choice(edges)]
+    rng.shuffle(edges)
+    return Graph(tuple(vertices), tuple(edges))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_list_route_matches_array_route_at_one_chunk(kind):
+    # 16 edges take the list route and 17 the array route, each checked
+    # against the array route called directly.
+    rng = random.Random(49)
+    for num_edges in (CHUNK_BITS, CHUNK_BITS + 1):
+        g = _multigraph(rng, 7, num_edges)
+        probs = _probabilities(rng, num_edges, kind)
+        value = reliability_enumerate(g, probs)
+        assert _same(value, enumerate_flags(connectivity_flags(g), probs))
+        assert 0 < value < 1
 
 
 def test_exact_routes_agree_past_one_chunk():

@@ -2,8 +2,8 @@
 
 ``import qrelnet`` loads nothing; the CLI pins OpenBLAS to one thread unless
 the user chose a count, each subcommand loads only the modules it runs,
-``reliability --method factor`` loads no numpy, and no output byte depends
-on the BLAS thread count.
+``reliability`` loads no numpy by factoring or by enumerating at most 16
+edges, and no output byte depends on the BLAS thread count.
 """
 
 import json
@@ -84,13 +84,17 @@ def numpy_loaded_after(argv) -> bool:
     return json.loads(run_fresh(code))
 
 
-@pytest.mark.parametrize("method, exact, loads_numpy",
-                         [("factor", False, False), ("factor", True, False), ("enum", False, True)])
-def test_reliability_loads_numpy_only_to_enumerate(tmp_path, method, exact, loads_numpy):
-    # The factor route runs on the per-state compile; enumeration walks 2^|E| flags.
+@pytest.mark.parametrize("method, exact, num_edges, loads_numpy",
+                         [("factor", False, 3, False), ("factor", True, 3, False), ("enum", False, 3, False),
+                          ("enum", True, 3, False), ("enum", False, 16, False), ("enum", False, 17, True)])
+def test_reliability_loads_numpy_only_to_enumerate(tmp_path, method, exact, num_edges, loads_numpy):
+    # The factor route runs on the per-state compile, and so does enumeration
+    # while its 2^|E| states fit one chunk of 2^16; past that it walks arrays.
+    names = [f"v{i}" for i in range(num_edges)]
     graph = tmp_path / "g.json"
-    graph.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}))
-    argv = ["reliability", "--graph", str(graph), "--p", "1/2,1/3,1/4" if exact else "0.5,0.25,0.75",
+    graph.write_text(json.dumps({"vertices": names, "edges": [[v, names[i - 1]] for i, v in enumerate(names)]}))
+    probs = ("1/2", "1/3", "1/4") if exact else ("0.5", "0.25", "0.75")
+    argv = ["reliability", "--graph", str(graph), "--p", ",".join(probs[i % 3] for i in range(num_edges)),
             "--method", method] + ["--exact"] * exact
     assert numpy_loaded_after(argv) is loads_numpy
 
