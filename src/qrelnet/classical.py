@@ -22,7 +22,7 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from .errors import QrelnetError, WidthMismatchError
-from .graphs import Graph, connectivity_flags, frontier_lists
+from .graphs import Graph, connectivity_flags, frontier_lists, trace_lists
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,19 +75,18 @@ def reliability_enumerate(g: Graph, probs):
 
     Sums the weights of the connected edge states as :func:`enumerate_flags`
     does, to the same bits.  While the states fit one chunk (``|E| <=
-    CHUNK_BITS``) they are Python lists, doubled once per edge over the
-    tables of :func:`~qrelnet.graphs.frontier_lists`, so no numpy loads;
-    past that the lists would cost several times the time and memory of
-    the arrays.
+    CHUNK_BITS``) they are Python lists: the final states of
+    :func:`~qrelnet.graphs.trace_lists` and a weight each, doubled once per
+    edge, so no numpy loads; past that the lists would cost several times
+    the time and memory of the arrays.
     """
     probs = _validate_probabilities(g, probs)
     if g.num_edges > CHUNK_BITS:
         return enumerate_flags(connectivity_flags(g), probs)
-    start, tables, finals = frontier_lists(g, g.vertices[:1])
+    ids, finals = trace_lists(g, g.vertices[:1])
     factors, denominator = _factors(probs)
-    ids, weights = [start], [1.0 if denominator is None else 1]
-    for (t0, t1), (absent, present) in zip(tables, factors):
-        ids = list(map(t0.__getitem__, ids)) + list(map(t1.__getitem__, ids))
+    weights = [1.0 if denominator is None else 1]
+    for absent, present in factors:
         weights = [w * absent for w in weights] + [w * present for w in weights]
     connected = [f is not None for f in finals]
     kept = compress(weights, map(connected.__getitem__, ids))

@@ -174,13 +174,12 @@ def _cmd_matrix(args) -> dict:
     else:
         check_matrix_size(args.m)  # before the name list, which a huge --m could not hold
         cm = connectivity_matrix([str(i) for i in range(1, args.m + 1)])
-    rows = cm.scaled.tolist()
-    text = {v: rational_text(Fraction(v, cm.denominator)) for v in set().union(*rows)}
+    text = {v: rational_text(Fraction(v, cm.denominator)) for v in set().union(*cm.scaled)}
     return {
         "m": args.m,
         "order": [partition_to_json(p) for p in cm.order],
-        "alpha": cm.alpha.tolist(),
-        "beta": [list(map(text.__getitem__, row)) for row in rows],
+        "alpha": cm.alpha,
+        "beta": [list(map(text.__getitem__, row)) for row in cm.scaled],
     }
 
 

@@ -16,8 +16,8 @@ from .errors import CapacityError, QrelnetError, WidthMismatchError
 from .partitions import Partition, partition_of
 
 # numpy loads in the functions that build arrays, so the per-state compile
-# of ``reliability`` (factor, and enum while its states fit one chunk) runs
-# without it.
+# of ``reliability`` (factor, and enum while its states fit one chunk) and
+# of ``split-verify`` on a small cut runs without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -287,6 +287,19 @@ def frontier_lists(g: Graph, u) -> tuple[int, list[tuple[list[int], list[int]]],
         frontier = [grown[i] for i in kept]
     finals = [None] + [partition_of(frontier, labels) for labels in states]
     return 0 if stranded else 1, tables, finals
+
+
+def trace_lists(g: Graph, u) -> tuple[list[int], list[Partition | None]]:
+    """:func:`component_traces` on the tables of :func:`frontier_lists`, with no numpy.
+
+    Returns ``(ids, finals)`` with ``ids`` a Python int list, doubled once
+    per edge, so edge ``k`` stays bit ``k`` of the state index.
+    """
+    start, tables, finals = frontier_lists(g, u)
+    ids = [start]
+    for t0, t1 in tables:
+        ids = list(map(t0.__getitem__, ids)) + list(map(t1.__getitem__, ids))
+    return ids, finals
 
 
 def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:

@@ -10,16 +10,22 @@ weights are the inverse connectivity matrix of the shared vertex set.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress
 from math import sqrt
-from typing import NamedTuple
+from operator import add
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .classical import sum_in_order
+from .classical import CHUNK_BITS, sum_in_order
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
-from .graphs import Graph, component_traces, connectivity_flags
-from .partitions import ConnectivityMatrix, Partition, connectivity_matrix
-from .states import StateVector
+from .graphs import Graph, component_traces, connectivity_flags, trace_lists
+from .partitions import MAX_LIST_PARTITIONS, ConnectivityMatrix, Partition, connectivity_matrix
+
+# numpy and the state module load in the functions that build arrays, so
+# ``split-verify`` on a small cut runs without them.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .states import StateVector
 
 
 def _frozen(diag: np.ndarray) -> np.ndarray:
@@ -38,6 +44,8 @@ def qr_value(op, psi: StateVector) -> float:
     ``op`` is the diagonal, one number per edge state: integers, floats or
     ``Fraction``s, as an array or array-like.
     """
+    import numpy as np
+
     op = np.asarray(op)
     if op.shape != psi.amplitudes.shape:
         raise WidthMismatchError(f"operator has shape {op.shape}, state has {psi.amplitudes.shape}")
@@ -53,6 +61,8 @@ def o_gamma_operator(h: Graph, u, gamma: Partition) -> np.ndarray:
     """
     if gamma.ground_set() != set(u):
         raise QrelnetError("partition does not cover exactly the given subset", code="invalid_partition")
+    import numpy as np
+
     ids, finals = component_traces(h, u)
     hits = np.array([f == gamma for f in finals], dtype=np.uint8)
     return _frozen(hits[ids])
@@ -86,19 +96,34 @@ def quotient_table(g: Graph, shared, cm: ConnectivityMatrix) -> tuple[np.ndarray
     ``table[i, s]`` is alpha between ``cm.order[i]`` and the trace of final
     state ``s``, and 0 on the dead state.
     """
+    import numpy as np
+
     ids, finals = component_traces(g, shared)
+    return np.array(_quotient_rows(cm, finals), dtype=np.uint8), ids
+
+
+def _quotient_rows(cm: ConnectivityMatrix, finals) -> list[list[int]]:
+    """Row ``i``: alpha between ``cm.order[i]`` and each final trace, 0 on the dead state ``finals[0]``."""
     index = {p: i for i, p in enumerate(cm.order)}
-    table = np.zeros((len(cm.order), len(finals)), dtype=np.uint8)
-    table[:, 1:] = cm.alpha[:, [index[f] for f in finals[1:]]]
-    return table, ids
+    columns = [index[f] for f in finals[1:]]
+    return [[0, *map(row.__getitem__, columns)] for row in cm.alpha]
+
+
+def _split_weights(k: Graph, h: Graph, shared) -> tuple[Graph, ConnectivityMatrix]:
+    """Check the cut; return the glued graph and the weights over the shared set.
+
+    Every splitting entry point starts here, so each raises the same error
+    codes in the same order.
+    """
+    union = union_graph(k, h, shared)  # validates the overlap and the combined edge count
+    if not shared:
+        raise QrelnetError("splitting needs at least one shared vertex", code="invalid_partition")
+    return union, connectivity_matrix(shared)
 
 
 def split_sides(k: Graph, h: Graph, shared):
     """Check the cut; return ``(cm, (k_table, k_ids), (h_table, h_ids))``, one frontier pass per side."""
-    union_graph(k, h, shared)  # validates the overlap and the combined edge count
-    if not shared:
-        raise QrelnetError("splitting needs at least one shared vertex", code="invalid_partition")
-    cm = connectivity_matrix(shared)
+    _, cm = _split_weights(k, h, shared)
     return cm, quotient_table(k, shared, cm), quotient_table(h, shared, cm)
 
 
@@ -119,31 +144,98 @@ def split_sum(cm: ConnectivityMatrix, left, right) -> float:
     return sum_in_order([term[3] for term in split_terms(cm, left, right)])
 
 
+def _split_table(cm: ConnectivityMatrix, k_finals, h_finals) -> list[list[int]]:
+    """The splitting sum times ``cm.denominator`` on every pair of final states.
+
+    With ``k_rows`` and ``h_rows`` the :func:`_quotient_rows` of the two
+    sides' final traces, ``table[a][b]``, the sum over ``(i, j)`` of
+    ``k_rows[i][a] * scaled[i][j] * h_rows[j][b]``, is the assembled
+    operator times the denominator on every state pair whose final states
+    are ``a`` and ``b``.  It is summed in Python ints up to
+    ``MAX_LIST_PARTITIONS`` rows.  Past that the lists would cost seconds,
+    and it is two float64 BLAS products: the 0/1 sides keep every partial
+    sum an integer within the absolute sum of ``cm.scaled``, which
+    matrix_for_order bounds below 2**53, so they are exact.
+    """
+    n = len(cm.order)
+    k_rows, h_rows = _quotient_rows(cm, k_finals), _quotient_rows(cm, h_finals)
+    if n > MAX_LIST_PARTITIONS:
+        import numpy as np
+
+        scaled = np.fromiter(chain.from_iterable(cm.scaled), dtype=np.float64, count=n * n).reshape(n, n)
+        k_side, h_side = (np.array(rows, dtype=np.float64) for rows in (k_rows, h_rows))
+        return (k_side.T @ scaled @ h_side).astype(np.int64).tolist()
+    h_joining = [list(compress(range(n), column)) for column in zip(*h_rows)]
+    table = []
+    for column in zip(*k_rows):
+        # middle[j]: the sum of scaled[i][j] over the rows i that join this k final state.
+        middle = [0] * n
+        for i in compress(range(n), column):
+            middle = list(map(add, middle, cm.scaled[i]))
+        table.append([sum(map(middle.__getitem__, rows)) for rows in h_joining])
+    return table
+
+
 def split_operator(k: Graph, h: Graph, shared) -> np.ndarray:
     """Reliability operator of the glued network, assembled from quotients.
 
     Computes ``sum over (gamma, gamma') of beta[gamma][gamma'] *
-    QR(k/gamma) (x) QR(h/gamma')`` exactly, as one int64 product with beta
-    scaled to a common denominator.  The result acts on the union's edge
-    order: ``h`` low bits, ``k`` high bits.
+    QR(k/gamma) (x) QR(h/gamma')`` exactly: :func:`_split_table` contracts
+    beta, scaled to a common denominator, over the final states of the two
+    frontier passes, and every state pair gathers its entry.  The result
+    acts on the union's edge order: ``h`` low bits, ``k`` high bits.
     """
-    cm, (kt, kids), (ht, hids) = split_sides(k, h, shared)
-    kd, hd = kt[:, kids], ht[:, hids]
-    # Row sk, column sh is state sk * 2^|E_h| + sh, so flattening keeps k-major
-    # order.  0/1 sides keep every partial sum within the absolute sum of
-    # cm.scaled, which matrix_for_order bounds below int64.
-    scaled = (kd.T @ (cm.scaled @ hd)).ravel()
+    _, cm = _split_weights(k, h, shared)
+    return _assembled(cm, k, h, shared)
+
+
+def _assembled(cm: ConnectivityMatrix, k: Graph, h: Graph, shared) -> np.ndarray:
+    """:func:`split_operator` on a cut already checked, with its weights ``cm``."""
+    import numpy as np
+
+    k_ids, k_finals = component_traces(k, shared)
+    h_ids, h_finals = component_traces(h, shared)
+    table = np.array(_split_table(cm, k_finals, h_finals), dtype=np.int64)
+    # Row sk, column sh is state sk * 2^|E_h| + sh, so flattening keeps k-major order.
+    scaled = table[k_ids[:, None], h_ids].ravel()
     whole, rest = np.divmod(scaled, cm.denominator)
     if rest.any():
         whole = np.array([Fraction(x, cm.denominator) for x in scaled.tolist()], dtype=object)
     return _frozen(whole)
 
 
+def _split_lists(cm: ConnectivityMatrix, k: Graph, h: Graph, shared, union: Graph) -> tuple[list, list]:
+    """The assembled and the direct operator of the glued graph, times ``cm.denominator``.
+
+    Both are Python int lists over the union's states, from the per-state
+    compile of :func:`~qrelnet.graphs.trace_lists`, so no numpy loads: the
+    first is :func:`split_operator` times the denominator, the second the
+    denominator times ``qr_operator(union)``.
+    """
+    k_ids, k_finals = trace_lists(k, shared)
+    h_ids, h_finals = trace_lists(h, shared)
+    # Each k final state's entries over the h states, in h state order.
+    rows = [list(map(row.__getitem__, h_ids)) for row in _split_table(cm, k_finals, h_finals)]
+    assembled = list(chain.from_iterable(map(rows.__getitem__, k_ids)))
+    ids, finals = trace_lists(union, union.vertices[:1])
+    flags = [cm.denominator * (f is not None) for f in finals]
+    return assembled, list(map(flags.__getitem__, ids))
+
+
 def verify_split(k: Graph, h: Graph, shared) -> bool:
-    """Exact entrywise check of the splitting against the direct operator."""
-    assembled = split_operator(k, h, shared)
-    direct = qr_operator(union_graph(k, h, shared))
-    return np.array_equal(assembled, direct)
+    """Exact entrywise check of the splitting against the direct operator.
+
+    While the union has at most ``CHUNK_BITS`` edges and the weights at most
+    ``MAX_LIST_PARTITIONS`` rows, both operators are Python int lists
+    (:func:`_split_lists`) and no numpy loads; past that they are arrays.
+    """
+    union, cm = _split_weights(k, h, shared)
+    if union.num_edges <= CHUNK_BITS and len(cm.order) <= MAX_LIST_PARTITIONS:
+        assembled, direct = _split_lists(cm, k, h, shared, union)
+        return assembled == direct
+    import numpy as np
+
+    return np.array_equal(_assembled(cm, k, h, shared), qr_operator(union))
 
 
 def qr_split_value(k: Graph, h: Graph, shared, psi_k: StateVector, psi_h: StateVector) -> float:
@@ -176,6 +268,8 @@ def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
         raise WidthMismatchError(f"state spans {psi.num_edges} edges, graph has {g.num_edges}")
     if n < 1:
         raise QrelnetError(f"sample count must be positive, got {n}", code="invalid_input")
+    import numpy as np
+
     if n > np.iinfo(np.intp).max:
         raise CapacityError(f"sample count {n} exceeds {np.iinfo(np.intp).max}")
     if seed < 0:

@@ -13,24 +13,23 @@ the zeta matrix (Z[r][p] = 1 when r refines p) and D = diag(mu(r, top)),
 where mu(r, top) = (-1)^(k-1) (k-1)! for r with k blocks (Rota, 1964).  The
 inverse is then closed form, beta = M^T D^-1 M with M = Z^-1 the Moebius
 matrix, and (m-1)! clears every denominator, so alpha and beta * (m-1)! are
-integer matrix products with no elimination.  Every partial sum of those
-products is an integer below 2**53, so they run exactly as float64 BLAS
-products (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
+integer matrix products with no elimination.  Up to Bell(6) = 203
+partitions they are summed in Python ints over the up-sets of the lattice,
+with no numpy.  Past that they are float64 BLAS products, exact because
+every partial sum is an integer below 2**53 (Dumas, Giorgi & Pernet, ACM
+TOMS 35(3), 2008).  Either way alpha and beta * (m-1)! are tuples of int
+rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from typing import TYPE_CHECKING
+from itertools import chain, compress
+from math import factorial, prod
+from operator import mul
 
 from .errors import CapacityError, QrelnetError
-
-# numpy loads in the functions that build arrays, so the frontier compile of
-# ``reliability --method factor`` can use ``Partition`` without it.
-if TYPE_CHECKING:
-    import numpy as np
 
 # Bell(8) = 4140 partitions: enumeration stays desk-scale.
 MAX_GROUND_SET = 8
@@ -38,6 +37,11 @@ MAX_GROUND_SET = 8
 # 877 x 877 float64 products included, and the CLI prints 769,129
 # rationals.  The cap stays at 7 so `matrix --m 8` keeps its capacity error.
 MAX_MATRIX_GROUND_SET = 7
+# Up to Bell(6) = 203 partitions the weights are summed in Python ints,
+# which costs less than importing numpy (15 ms against 0.14 s at 203 on a
+# 2-vCPU VM); at Bell(7) = 877 the lists take about 0.3 s against 0.2 s for
+# the arrays and their tuples.
+MAX_LIST_PARTITIONS = 203
 _INT64_MAX = 2**63 - 1
 # Largest bound on partial sums under which float64 products stay exact.
 _FLOAT64_EXACT = 2**53
@@ -134,26 +138,24 @@ def _labels(p: Partition, index: dict[str, int]) -> list[int]:
 class ConnectivityMatrix:
     """Partition order, the 0/1 connectivity matrix alpha, and its inverse.
 
-    ``alpha`` is a read-only uint8 array.  The inverse beta is kept as
-    ``scaled``, beta times ``denominator``, a read-only int64 array; the
+    ``alpha`` is a tuple of rows, each a tuple of ``int``.  The inverse beta
+    is kept as ``scaled``, beta times ``denominator``, in the same form; the
     ``beta`` property builds its exact ``Fraction`` rows on demand.
     """
 
     order: tuple[Partition, ...]
-    alpha: np.ndarray = field(compare=False, repr=False)
-    scaled: np.ndarray = field(compare=False, repr=False)
+    alpha: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    scaled: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     denominator: int
 
     @property
     def beta(self) -> tuple[tuple[Fraction, ...], ...]:
-        rows = self.scaled.tolist()
-        weight = {v: Fraction(v, self.denominator) for v in set().union(*rows)}
-        return tuple(tuple(map(weight.__getitem__, row)) for row in rows)
+        weight = {v: Fraction(v, self.denominator) for v in set().union(*self.scaled)}
+        return tuple(tuple(map(weight.__getitem__, row)) for row in self.scaled)
 
     def weight_pairs(self):
         """Yield ``(i, j, n)`` for every nonzero ``beta[i][j] = n / denominator``, row by row."""
-        rows, cols = self.scaled.nonzero()
-        return zip(rows.tolist(), cols.tolist(), self.scaled[rows, cols].tolist())
+        return ((i, j, n) for i, row in enumerate(self.scaled) for j, n in enumerate(row) if n)
 
 
 def bell_number(m: int) -> int:
@@ -174,9 +176,10 @@ def matrix_for_order(parts) -> ConnectivityMatrix:
 
     ``parts`` must list every partition of one ground set exactly once; any
     ordering is accepted, so reference orderings can be reproduced verbatim.
+    Up to ``MAX_LIST_PARTITIONS`` partitions the weights are built in Python
+    ints (:func:`_int_weights`), past that as numpy products
+    (:func:`_array_weights`); both give the same tuples.
     """
-    import numpy as np
-
     parts = tuple(parts)
     if not parts:
         raise QrelnetError("empty partition order", code="invalid_partition")
@@ -198,7 +201,96 @@ def matrix_for_order(parts) -> ConnectivityMatrix:
     # restricted growth string, so an element leads its block iff its label
     # exceeds every label before it.
     index = {v: i for i, v in enumerate(sorted(ground))}
-    labels = np.array([_labels(p, index) for p in parts], dtype=np.int64).reshape(n, m)
+    labels = [_labels(p, index) for p in parts]
+    build = _int_weights if n <= MAX_LIST_PARTITIONS else _array_weights
+    alpha, scaled = build(labels, den)
+    return ConnectivityMatrix(parts, alpha, scaled, den)
+
+
+def _check_sums(n: int, m: int, abs_sum: int) -> None:
+    """Bound the partial sums that beta * den feeds, given its absolute sum ``abs_sum``.
+
+    The probe's stay within ``n * abs_sum``, checked below int64.  A split
+    contraction has 0/1 sides, so its partial sums stay within ``abs_sum``,
+    checked below 2**53: float64 products of it are exact.
+    """
+    if n * abs_sum > _INT64_MAX:
+        raise CapacityError(f"splitting weights for {m} elements overflow int64")
+    if abs_sum > _FLOAT64_EXACT:
+        raise CapacityError(f"splitting weights for {m} elements overflow float64")
+
+
+def _int_weights(labels: list[list[int]], den: int) -> tuple[tuple, tuple]:
+    """alpha and beta * den for the partitions labelled by ``labels``, in Python ints.
+
+    A partition is the bitset of the element pairs it keeps together, so r
+    refines p exactly when ``together[r] & ~together[p]`` is 0, and the
+    up-set of r is the AND of its pairs' columns.  Each r adds its
+    weight ``den / mu(r, top)`` times ``mu(r, p) * mu(r, q)`` to every
+    ``scaled[p][q]`` with p and q in its up-set.  alpha[p][q] is 0 exactly
+    when p and q lie below one two-block partition.
+    """
+    n, m = len(labels), len(labels[0])
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    together = [sum(1 << t for t, (a, b) in enumerate(pairs) if row[a] == row[b]) for row in labels]
+    # column[t]: the partitions that keep pair t together, as a bitset.
+    column = [sum(1 << p for p in range(n) if together[p] >> t & 1) for t in range(len(pairs))]
+    leads = [sum(1 << e for e in range(m) if row[e] > max(row[:e], default=-1)) for row in labels]
+    blocks = [[sum(1 << e for e in range(m) if row[e] == b) for b in range(max(row) + 1)] for row in labels]
+    # mu_of[c] = (-1)^(c-1) (c-1)! merges c blocks into one.
+    mu_of = [1] + [(-1) ** c * factorial(c) for c in range(m)]
+
+    full = (1 << n) - 1
+    scaled = [[0] * n for _ in range(n)]
+    for r in range(n):
+        up = full
+        for t in range(len(pairs)):
+            if together[r] >> t & 1:
+                up &= column[t]
+        # mu(r, p) is the product over the blocks of p of mu_of[c], c the
+        # number of blocks of r inside.
+        mus = [(p, prod(mu_of[(leads[r] & block).bit_count()] for block in blocks[p]))
+               for p in compress(range(n), _bits(up, n))]
+        weight = den // mu_of[len(blocks[r])]
+        for p, mu_p in mus:
+            row, c = scaled[p], weight * mu_p
+            for q, mu_q in mus:
+                row[q] += c * mu_q
+
+    # The two-block partitions, and the bitset of the partitions below each.
+    coatoms = [together[c] for c in range(n) if len(blocks[c]) == 2]
+    below = [sum(1 << q for q in range(n) if not together[q] & ~c) for c in coatoms]
+    alpha = []
+    for p in range(n):
+        apart = 0
+        for c, under in zip(coatoms, below):
+            if not together[p] & ~c:
+                apart |= under
+        alpha.append(tuple(_bits(~apart & full, n)))
+
+    # Exactness probe: alpha @ (beta @ x) must reproduce x.
+    _check_sums(n, m, sum(map(abs, chain.from_iterable(scaled))))
+    x = range(1, n + 1)
+    bx = [sum(map(mul, row, x)) for row in scaled]
+    if [sum(compress(bx, row)) for row in alpha] != [den * v for v in x]:
+        raise QrelnetError("inverse verification failed", code="singular_matrix")
+    return tuple(alpha), tuple(map(tuple, scaled))
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int, n: int) -> bytes:
+    """Bits 0 to ``n - 1`` of ``mask``, lowest first, as the bytes 0 and 1."""
+    return format(mask, f"0{n}b")[::-1].encode().translate(_BITS)
+
+
+def _array_weights(labels: list[list[int]], den: int) -> tuple[tuple, tuple]:
+    """:func:`_int_weights` as numpy products, for more partitions than the lists serve."""
+    import numpy as np
+
+    labels = np.array(labels, dtype=np.int64)
+    n, m = labels.shape
     blocks = labels.max(axis=1) + 1
     leads = np.ones((n, m), dtype=np.int64)
     leads[:, 1:] = labels[:, 1:] > np.maximum.accumulate(labels, axis=1)[:, :-1]
@@ -218,25 +310,19 @@ def matrix_for_order(parts) -> ConnectivityMatrix:
     mobius[r, p] = np.prod(mu_of[inside], axis=1)
 
     # alpha = Z diag(mu(r, top)) Z^T and beta * den = M^T diag(den / mu(r, top)) M,
-    # every partial sum an integer bounded by n * den**3 (checked above), so
-    # the float64 products are exact.
+    # every partial sum an integer bounded by n * den**3 (checked by the
+    # caller), so the float64 products are exact.
     top = mu_of[blocks]
     z, mf = zeta.astype(np.float64), mobius.astype(np.float64)
     alpha = ((z * top) @ z.T).astype(np.int64)
     scaled = (mf.T @ ((den // top)[:, None] * mf)).astype(np.int64)
 
-    # Exactness probe in integers: alpha @ (beta @ x) must reproduce x.  Its
-    # partial sums are bounded by n times the absolute sum of beta * den.
+    # Exactness probe in int64, whose partial sums the bound keeps exact.
+    _check_sums(n, m, sum(np.abs(scaled).sum(axis=1).tolist()))
     x = np.arange(1, n + 1, dtype=np.int64)
-    if n * sum(np.abs(scaled).sum(axis=1).tolist()) > _INT64_MAX:
-        raise CapacityError(f"splitting weights for {m} elements overflow int64")
     if not np.array_equal(alpha @ (scaled @ x), den * x):
         raise QrelnetError("inverse verification failed", code="singular_matrix")
-
-    alpha = alpha.astype(np.uint8)
-    alpha.flags.writeable = False
-    scaled.flags.writeable = False
-    return ConnectivityMatrix(parts, alpha, scaled, den)
+    return tuple(map(tuple, alpha.tolist())), tuple(map(tuple, scaled.tolist()))
 
 
 def check_matrix_size(m: int) -> None:

@@ -240,7 +240,7 @@ def factorize_oracle(g: Graph, probs):
 
 
 def random_split(rng, num_shared: int, max_side_extra: int, max_total_edges: int, *,
-                 min_side_edges: int = 1):
+                 min_side_edges: int = 1, min_total_edges: int = 2):
     """Random (k, h, shared) with vertex overlap exactly the shared set.
 
     Each side gets at least ``min_side_edges`` edges; extra vertices may be
@@ -251,7 +251,7 @@ def random_split(rng, num_shared: int, max_side_extra: int, max_total_edges: int
     h_extra = [f"h{i}" for i in range(rng.randint(0, max_side_extra))]
     k_verts = tuple(shared + k_extra)
     h_verts = tuple(shared + h_extra)
-    total = rng.randint(2, max_total_edges)
+    total = rng.randint(min_total_edges, max_total_edges)
     nk = rng.randint(min_side_edges, total - min_side_edges)
 
     def side_edges(verts, count):
@@ -345,8 +345,8 @@ def assert_beta_identities(cm) -> None:
     ti = cm.order.index(single_block(ground))
     fi = cm.order.index(singletons(ground))
     den, n = cm.denominator, len(cm.order)
-    assert cm.scaled[ti].tolist() == [den if j == fi else 0 for j in range(n)]
-    assert cm.scaled.sum(axis=1).tolist() == [den if i == ti else 0 for i in range(n)]
+    assert list(cm.scaled[ti]) == [den if j == fi else 0 for j in range(n)]
+    assert [sum(row) for row in cm.scaled] == [den if i == ti else 0 for i in range(n)]
 
 
 def split_diag_fraction_loop(k: Graph, h: Graph, shared) -> list:

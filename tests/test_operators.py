@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qrelnet.operators
 from qrelnet import (
     CapacityError,
     Graph,
@@ -35,6 +36,8 @@ from qrelnet import (
     union_graph,
     verify_split,
 )
+from qrelnet.operators import _split_lists, _split_weights
+from qrelnet.partitions import ConnectivityMatrix
 from helpers import (
     bfs_is_connected,
     bfs_trace,
@@ -267,6 +270,92 @@ def test_qr_split_value_matches_direct_tensor_path():
         via_split = qr_split_value(k, h, shared, psi_k, psi_h)
         direct = qr_value(qr_operator(union_graph(k, h, shared)), tensor(psi_k, psi_h))
         assert abs(via_split - direct) <= 1e-10
+
+
+@pytest.mark.parametrize("num_edges", [16, 17])
+def test_list_split_values_equal_the_array_split(num_edges):
+    # 16 edges is the largest union verify_split checks as lists; the list
+    # route is called directly here on both sides of that gate.
+    rng = random.Random(400 + num_edges)
+    cuts = [random_split(rng, num_shared, 3, num_edges, min_total_edges=num_edges)
+            for num_shared in (1, 2, 3, 4) for _ in range(3)]
+    edges = [e for k, h, _ in cuts for e in k.edges + h.edges]
+    assert any(a == b for a, b in edges)  # loops
+    assert any(len(set(k.edges)) < k.num_edges for k, _, _ in cuts)  # parallel edges
+    for k, h, shared in cuts:
+        union, cm = _split_weights(k, h, shared)
+        assert union.num_edges == num_edges
+        assembled, direct = _split_lists(cm, k, h, shared, union)
+        den = cm.denominator
+        assert assembled == [den * x for x in split_operator(k, h, shared).tolist()]
+        assert direct == [den * x for x in qr_operator(union).tolist()]
+        assert verify_split(k, h, shared)
+
+
+def test_blas_contraction_equals_the_int_contraction(monkeypatch):
+    # Past MAX_LIST_PARTITIONS weight rows the splitting is contracted by
+    # float64 products: on seven shared vertices, and on small cuts once the
+    # gate is lowered, against the int sums.
+    ring = tuple("abcdefg")
+    k = Graph(ring, tuple(zip(ring, ring[1:] + ring[:1])))
+    h = Graph(ring + ("z",), tuple((v, "z") for v in ring))
+    assert split_operator(k, h, ring).tolist() == qr_operator(union_graph(k, h, ring)).tolist()
+    assert verify_split(k, h, ring)
+    rng = random.Random(500)
+    cuts = [random_split(rng, num_shared, 2, 10) for num_shared in (1, 2, 3, 4) for _ in range(3)]
+    expected = [split_operator(*cut).tolist() for cut in cuts]
+    monkeypatch.setattr(qrelnet.operators, "MAX_LIST_PARTITIONS", 0)
+    assert [split_operator(*cut).tolist() for cut in cuts] == expected
+    assert all(verify_split(*cut) for cut in cuts)
+
+
+def _cut(num_edges):
+    """A cut on a and b: k is parallel a-b links, h paths through c and d."""
+    k = Graph(("a", "b"), (("a", "b"),) * (num_edges // 2))
+    h_edges = (("a", "c"), ("c", "b"), ("b", "d"), ("d", "a"), ("c", "d"), ("a", "b"))
+    h = Graph(("a", "b", "c", "d"), (h_edges * 3)[: num_edges - num_edges // 2])
+    return k, h, ("a", "b")
+
+
+@pytest.mark.parametrize("num_edges", [16, 17])
+def test_verify_split_catches_a_wrong_weight(monkeypatch, num_edges):
+    # The splitting always holds, so only broken weights show that each
+    # route can answer False.  Every island-free state of either side
+    # connects the quotient by the single block, so a changed weight between
+    # the single blocks changes every such entry.
+    real = qrelnet.operators.connectivity_matrix
+
+    def broken(shared):
+        cm = real(shared)
+        scaled = [list(row) for row in cm.scaled]
+        scaled[0][0] += 1  # order[0] is the single block
+        return ConnectivityMatrix(cm.order, cm.alpha, tuple(map(tuple, scaled)), cm.denominator)
+
+    k, h, shared = _cut(num_edges)
+    assert verify_split(k, h, shared)
+    monkeypatch.setattr(qrelnet.operators, "connectivity_matrix", broken)
+    assert verify_split(k, h, shared) is False
+
+
+def _bad_cuts(num_edges):
+    """Cuts of ``num_edges`` edges that no splitting accepts, with their error codes."""
+    k, h, _ = _cut(num_edges)
+    far = Graph(("x", "y"), (("x", "y"),) * h.num_edges)
+    eight = tuple("abcdefgh")
+    ring = Graph(eight, tuple(zip(eight, eight[1:] + eight[:1])))
+    chords = Graph(eight, tuple((eight[i % 8], eight[(i + 3) % 8]) for i in range(num_edges - 8)))
+    return [(k, h, ("a",), "overlap_violation"), (k, far, (), "invalid_partition"),
+            (ring, chords, eight, "capacity")]
+
+
+@pytest.mark.parametrize("num_edges", [16, 17])
+def test_both_verify_routes_reject_a_bad_cut_alike(num_edges):
+    for k, h, shared, expected in _bad_cuts(num_edges):
+        assert k.num_edges + h.num_edges == num_edges
+        for fn in (verify_split, split_operator):
+            with pytest.raises(QrelnetError) as err:
+                fn(k, h, shared)
+            assert err.value.code == expected
 
 
 def test_split_requires_shared_vertices():

@@ -3,6 +3,8 @@
 import functools
 import random
 from fractions import Fraction
+from itertools import chain
+from math import factorial
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from qrelnet import (
     single_block,
     singletons,
 )
-from qrelnet.partitions import _INT64_MAX, M3_REFERENCE_ORDER
+import qrelnet.partitions
+from qrelnet.partitions import _INT64_MAX, M3_REFERENCE_ORDER, _array_weights, _int_weights, _labels
 from qrelnet.operators import split_sum
 from helpers import assert_beta_identities, invert_exact, pairwise_merge_alpha, rejection
 
@@ -75,8 +78,8 @@ def test_enumerate_caps_and_empty():
 
 def test_alpha_is_symmetric_with_unit_diagonal_only_at_single_block():
     cm = connectivity_matrix(["1", "2", "3", "4"])
-    assert np.array_equal(cm.alpha, cm.alpha.T)
-    assert cm.alpha.diagonal().tolist() == [int(len(p.blocks) == 1) for p in cm.order]
+    assert cm.alpha == tuple(zip(*cm.alpha))
+    assert [row[i] for i, row in enumerate(cm.alpha)] == [int(len(p.blocks) == 1) for p in cm.order]
 
 
 def test_alpha_times_beta_is_identity_exactly():
@@ -146,22 +149,58 @@ def _assert_matches_oracle(parts):
     where = [base.index(p) for p in parts]
     cm = matrix_for_order(parts)
     assert cm.order == tuple(parts)
-    assert cm.alpha.tolist() == pairwise_merge_alpha(parts)
+    assert [list(row) for row in cm.alpha] == pairwise_merge_alpha(parts)
     assert [list(row) for row in cm.beta] == [[beta[i][j] for j in where] for i in where]
     assert all(type(x) is Fraction for row in cm.beta for x in row)
-    assert cm.scaled.tolist() == [[int(beta[i][j] * cm.denominator) for j in where] for i in where]
+    assert [list(row) for row in cm.scaled] == [[int(beta[i][j] * cm.denominator) for j in where] for i in where]
+
+
+def _orders(m):
+    """The partitions of m elements in canonical order, then shuffled."""
+    parts = enumerate_partitions([str(i) for i in range(1, m + 1)])
+    shuffled = list(parts)
+    random.Random(100 + m).shuffle(shuffled)
+    return parts, shuffled
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_closed_form_matches_elimination_in_canonical_and_shuffled_order(m):
-    parts = enumerate_partitions([str(i) for i in range(1, m + 1)])
-    _assert_matches_oracle(parts)
-    random.Random(100 + m).shuffle(parts)
-    _assert_matches_oracle(parts)
+    for parts in _orders(m):
+        _assert_matches_oracle(parts)
 
 
 def test_closed_form_matches_elimination_in_reference_order():
     _assert_matches_oracle(list(M3_REFERENCE_ORDER))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_int_builder_matches_the_array_builder(m):
+    # The numpy products, which serve past MAX_LIST_PARTITIONS, are the
+    # oracle of the Python-int route below it.
+    for parts in (*_orders(m), *([M3_REFERENCE_ORDER] if m == 3 else [])):
+        index = {v: i for i, v in enumerate(sorted(parts[0].ground_set()))}
+        labels = [_labels(p, index) for p in parts]
+        got = _int_weights(labels, factorial(m - 1))
+        assert got == _array_weights(labels, factorial(m - 1))
+        assert all(type(row) is tuple and all(type(x) is int for x in row) for row in chain(*got))
+
+
+def test_array_route_serves_every_size_under_a_lowered_gate(monkeypatch):
+    # Like the CHUNK_BITS test of the classical routes: with the gate at 0
+    # matrix_for_order takes the numpy products at every size.
+    calls = []
+
+    def counted(labels, den):
+        calls.append(len(labels))
+        return _array_weights(labels, den)
+
+    monkeypatch.setattr(qrelnet.partitions, "MAX_LIST_PARTITIONS", 0)
+    monkeypatch.setattr(qrelnet.partitions, "_array_weights", counted)
+    for m in range(1, 7):
+        for parts in _orders(m):
+            _assert_matches_oracle(parts)
+    _assert_matches_oracle(list(M3_REFERENCE_ORDER))
+    assert calls == [BELLS[m] for m in range(1, 7) for _ in range(2)] + [5]
 
 
 def test_weight_pairs_are_the_nonzero_weights_row_major():
@@ -173,11 +212,16 @@ def test_weight_pairs_are_the_nonzero_weights_row_major():
 
 
 def test_weight_arrays_are_read_only_and_divide_to_fraction_bits():
+    # Read-only by type: both routes give tuples of int rows (m = 7 is past
+    # MAX_LIST_PARTITIONS), and alpha's entries are 0 or 1.
     for m in range(1, 8):
         cm = connectivity_matrix([str(i) for i in range(1, m + 1)])
-        for array, dtype in ((cm.alpha, np.uint8), (cm.scaled, np.int64)):
-            assert array.dtype == dtype and not array.flags.writeable
-        for n in set(cm.scaled.ravel().tolist()):
+        for rows in (cm.alpha, cm.scaled):
+            assert type(rows) is tuple and len(rows) == BELLS[m]
+            assert all(type(row) is tuple and len(row) == BELLS[m] for row in rows)
+            assert set(map(type, chain.from_iterable(rows))) == {int}
+        assert set(chain.from_iterable(cm.alpha)) == ({0, 1} if m > 1 else {1})
+        for n in set(chain.from_iterable(cm.scaled)):
             assert (n / cm.denominator).hex() == float(Fraction(n, cm.denominator)).hex()
 
 

@@ -2,8 +2,10 @@
 
 ``import qrelnet`` loads nothing; the CLI pins OpenBLAS to one thread unless
 the user chose a count, each subcommand loads only the modules it runs,
-``reliability`` loads no numpy by factoring or by enumerating at most 16
-edges, and no output byte depends on the BLAS thread count.
+and no output byte depends on the BLAS thread count.  Without numpy run
+``reliability`` by factoring or by enumerating at most 16 edges, ``matrix``
+up to 6 elements (203 partitions), and ``split-verify`` on a union of at
+most 16 edges around at most 6 shared vertices.
 """
 
 import json
@@ -99,9 +101,37 @@ def test_reliability_loads_numpy_only_to_enumerate(tmp_path, method, exact, num_
     assert numpy_loaded_after(argv) is loads_numpy
 
 
+@pytest.mark.parametrize("m, loads_numpy", [(1, False), (6, False), (7, True)])
+def test_matrix_loads_numpy_only_past_203_partitions(m, loads_numpy):
+    assert numpy_loaded_after(["matrix", "--m", str(m)]) is loads_numpy
+
+
+@pytest.mark.parametrize("num_shared, num_edges, loads_numpy",
+                         [(3, 16, False), (3, 17, True), (6, 16, False), (7, 16, True)])
+def test_split_verify_loads_numpy_only_past_16_edges_or_203_partitions(tmp_path, num_shared, num_edges,
+                                                                       loads_numpy):
+    # Each side is a ring through the shared vertices and one of its own,
+    # with chords once the ring is full; k takes half the edges, h the rest.
+    shared = [f"s{i}" for i in range(num_shared)]
+    for name, count in (("k", num_edges // 2), ("h", num_edges - num_edges // 2)):
+        ring = shared + [name]
+        edges = [[ring[i % len(ring)], ring[(i + 1 + i // len(ring)) % len(ring)]] for i in range(count)]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"vertices": ring, "edges": edges}))
+    argv = ["split-verify", "--k", str(tmp_path / "k.json"), "--h", str(tmp_path / "h.json"),
+            "--shared", ",".join(shared)]
+    assert numpy_loaded_after(argv) is loads_numpy
+    if not loads_numpy:
+        assert not loaded_after(argv) & {"states", "hybrid"}
+
+
 def test_the_graph_partition_and_classical_modules_import_no_numpy():
     code = "import sys, qrelnet.graphs, qrelnet.partitions, qrelnet.classical; print('numpy' in sys.modules)"
     assert run_fresh(code) == "False"
+
+
+def test_the_operator_module_imports_no_numpy_and_no_state_module():
+    code = "import sys, qrelnet.operators; print('numpy' in sys.modules, 'qrelnet.states' in sys.modules)"
+    assert run_fresh(code) == "False False"
 
 
 def test_qr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -138,7 +168,7 @@ def _blas_name() -> str:
 def test_the_cli_process_runs_one_thread():
     code = ("import os\n"
             "from qrelnet.cli import main\n"
-            "assert main(['matrix', '--m', '4']) == 0\n"
+            "assert main(['matrix', '--m', '7']) == 0\n"
             "print(len(os.listdir('/proc/self/task')))")
     assert run_fresh(code) == "1"
 
