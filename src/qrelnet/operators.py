@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .classical import CHUNK_BITS, sum_in_order
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
 from .graphs import Graph, component_traces, connectivity_flags, trace_lists
-from .partitions import MAX_LIST_PARTITIONS, ConnectivityMatrix, Partition, connectivity_matrix
+from .partitions import ConnectivityMatrix, Partition, connectivity_matrix
 
 # numpy and the state module load in the functions that build arrays, so
 # ``split-verify`` on a small cut runs without them.
@@ -26,6 +26,11 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .states import StateVector
+
+# Up to Bell(6) = 203 weight rows the splitting is contracted in Python
+# ints.  On seven shared vertices (877 rows) that would take seconds, and
+# it is an int64 numpy product instead.
+_LIST_ROWS = 203
 
 
 def _frozen(diag: np.ndarray) -> np.ndarray:
@@ -151,20 +156,19 @@ def _split_table(cm: ConnectivityMatrix, k_finals, h_finals) -> list[list[int]]:
     sides' final traces, ``table[a][b]``, the sum over ``(i, j)`` of
     ``k_rows[i][a] * scaled[i][j] * h_rows[j][b]``, is the assembled
     operator times the denominator on every state pair whose final states
-    are ``a`` and ``b``.  It is summed in Python ints up to
-    ``MAX_LIST_PARTITIONS`` rows.  Past that the lists would cost seconds,
-    and it is two float64 BLAS products: the 0/1 sides keep every partial
-    sum an integer within the absolute sum of ``cm.scaled``, which
-    matrix_for_order bounds below 2**53, so they are exact.
+    are ``a`` and ``b``.  It is summed in Python ints up to ``_LIST_ROWS``
+    rows, and past that in int64 products: the 0/1 sides keep every
+    partial sum within the absolute sum of ``cm.scaled``, which
+    matrix_for_order bounds below int64.
     """
     n = len(cm.order)
     k_rows, h_rows = _quotient_rows(cm, k_finals), _quotient_rows(cm, h_finals)
-    if n > MAX_LIST_PARTITIONS:
+    if n > _LIST_ROWS:
         import numpy as np
 
-        scaled = np.fromiter(chain.from_iterable(cm.scaled), dtype=np.float64, count=n * n).reshape(n, n)
-        k_side, h_side = (np.array(rows, dtype=np.float64) for rows in (k_rows, h_rows))
-        return (k_side.T @ scaled @ h_side).astype(np.int64).tolist()
+        scaled = np.fromiter(chain.from_iterable(cm.scaled), dtype=np.int64, count=n * n).reshape(n, n)
+        k_side, h_side = (np.array(rows, dtype=np.int64) for rows in (k_rows, h_rows))
+        return (k_side.T @ (scaled @ h_side)).tolist()
     h_joining = [list(compress(range(n), column)) for column in zip(*h_rows)]
     table = []
     for column in zip(*k_rows):
@@ -226,11 +230,11 @@ def verify_split(k: Graph, h: Graph, shared) -> bool:
     """Exact entrywise check of the splitting against the direct operator.
 
     While the union has at most ``CHUNK_BITS`` edges and the weights at most
-    ``MAX_LIST_PARTITIONS`` rows, both operators are Python int lists
+    ``_LIST_ROWS`` rows, both operators are Python int lists
     (:func:`_split_lists`) and no numpy loads; past that they are arrays.
     """
     union, cm = _split_weights(k, h, shared)
-    if union.num_edges <= CHUNK_BITS and len(cm.order) <= MAX_LIST_PARTITIONS:
+    if union.num_edges <= CHUNK_BITS and len(cm.order) <= _LIST_ROWS:
         assembled, direct = _split_lists(cm, k, h, shared, union)
         return assembled == direct
     import numpy as np

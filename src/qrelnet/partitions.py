@@ -13,38 +13,30 @@ the zeta matrix (Z[r][p] = 1 when r refines p) and D = diag(mu(r, top)),
 where mu(r, top) = (-1)^(k-1) (k-1)! for r with k blocks (Rota, 1964).  The
 inverse is then closed form, beta = M^T D^-1 M with M = Z^-1 the Moebius
 matrix, and (m-1)! clears every denominator, so alpha and beta * (m-1)! are
-integer matrix products with no elimination.  Up to Bell(6) = 203
-partitions they are summed in Python ints over the up-sets of the lattice,
-with no numpy.  Past that they are float64 BLAS products, exact because
-every partial sum is an integer below 2**53 (Dumas, Giorgi & Pernet, ACM
-TOMS 35(3), 2008).  Either way alpha and beta * (m-1)! are tuples of int
-rows.
+integer matrix products with no elimination.  They are summed in Python
+ints, one int per matrix row, by Moebius recursions over the lattice, with
+no numpy, and kept as tuples of int rows.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress
-from math import factorial, prod
-from operator import mul
+from functools import reduce
+from itertools import compress
+from math import factorial
+from operator import and_, mul, or_
 
 from .errors import CapacityError, QrelnetError
 
 # Bell(8) = 4140 partitions: enumeration stays desk-scale.
 MAX_GROUND_SET = 8
-# Bell(7) = 877: alpha and beta take about 0.16 s on a 2-vCPU VM, two dense
-# 877 x 877 float64 products included, and the CLI prints 769,129
-# rationals.  The cap stays at 7 so `matrix --m 8` keeps its capacity error.
+# Bell(7) = 877: alpha and beta take about 0.14 s on a 2-vCPU VM, and the
+# CLI prints 769,129 rationals.  The cap stays at 7 so `matrix --m 8` keeps
+# its capacity error.
 MAX_MATRIX_GROUND_SET = 7
-# Up to Bell(6) = 203 partitions the weights are summed in Python ints,
-# which costs less than importing numpy (15 ms against 0.14 s at 203 on a
-# 2-vCPU VM); at Bell(7) = 877 the lists take about 0.3 s against 0.2 s for
-# the arrays and their tuples.
-MAX_LIST_PARTITIONS = 203
 _INT64_MAX = 2**63 - 1
-# Largest bound on partial sums under which float64 products stay exact.
-_FLOAT64_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -176,9 +168,6 @@ def matrix_for_order(parts) -> ConnectivityMatrix:
 
     ``parts`` must list every partition of one ground set exactly once; any
     ordering is accepted, so reference orderings can be reproduced verbatim.
-    Up to ``MAX_LIST_PARTITIONS`` partitions the weights are built in Python
-    ints (:func:`_int_weights`), past that as numpy products
-    (:func:`_array_weights`); both give the same tuples.
     """
     parts = tuple(parts)
     if not parts:
@@ -193,88 +182,84 @@ def matrix_for_order(parts) -> ConnectivityMatrix:
     n = len(parts)
     if len(set(parts)) != n or n != bell_number(m):
         raise QrelnetError("partition order must list every partition exactly once", code="invalid_partition")
-    den = factorial(m - 1)
-    if n * den**3 > _FLOAT64_EXACT:
-        raise CapacityError(f"splitting weights for {m} elements overflow float64")
 
-    # Block labels per element; canonical block order makes each row a
-    # restricted growth string, so an element leads its block iff its label
-    # exceeds every label before it.
+    # Block labels per element, 0 to the number of blocks minus 1.
     index = {v: i for i, v in enumerate(sorted(ground))}
     labels = [_labels(p, index) for p in parts]
-    build = _int_weights if n <= MAX_LIST_PARTITIONS else _array_weights
-    alpha, scaled = build(labels, den)
+    den = factorial(m - 1)
+    alpha, scaled = _int_weights(labels, den)
     return ConnectivityMatrix(parts, alpha, scaled, den)
-
-
-def _check_sums(n: int, m: int, abs_sum: int) -> None:
-    """Bound the partial sums that beta * den feeds, given its absolute sum ``abs_sum``.
-
-    The probe's stay within ``n * abs_sum``, checked below int64.  A split
-    contraction has 0/1 sides, so its partial sums stay within ``abs_sum``,
-    checked below 2**53: float64 products of it are exact.
-    """
-    if n * abs_sum > _INT64_MAX:
-        raise CapacityError(f"splitting weights for {m} elements overflow int64")
-    if abs_sum > _FLOAT64_EXACT:
-        raise CapacityError(f"splitting weights for {m} elements overflow float64")
 
 
 def _int_weights(labels: list[list[int]], den: int) -> tuple[tuple, tuple]:
     """alpha and beta * den for the partitions labelled by ``labels``, in Python ints.
 
     A partition is the bitset of the element pairs it keeps together, so r
-    refines p exactly when ``together[r] & ~together[p]`` is 0, and the
-    up-set of r is the AND of its pairs' columns.  Each r adds its
-    weight ``den / mu(r, top)`` times ``mu(r, p) * mu(r, q)`` to every
-    ``scaled[p][q]`` with p and q in its up-set.  alpha[p][q] is 0 exactly
-    when p and q lie below one two-block partition.
+    refines p exactly when ``together[r] & ~together[p]`` is 0; its up-set
+    is the AND of its pairs' columns, its down-set the complement of the
+    OR of the other pairs' columns.  Each matrix row is one Python int with
+    entry q in bits 64q to 64q + 63 (read back by :func:`_unpack`), so one
+    addition adds a whole row.  Two Moebius recursions over the lattice
+    build beta * den = M^T diag(den / mu(r, top)) M row by row, with no
+    entry of mu computed alone:
+
+    - row r of M, mu(r, q) at every q, is e_r minus the rows of M above r,
+      since mu(r, q) sums to 0 over r <= s <= q when r < q;
+    - row p of beta * den is row p of diag(den / mu(r, top)) M minus the
+      rows of beta * den below p, by the same identity.
+
+    alpha[p][q] is 0 exactly when p and q lie below one two-block partition.
     """
     n, m = len(labels), len(labels[0])
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     together = [sum(1 << t for t, (a, b) in enumerate(pairs) if row[a] == row[b]) for row in labels]
     # column[t]: the partitions that keep pair t together, as a bitset.
     column = [sum(1 << p for p in range(n) if together[p] >> t & 1) for t in range(len(pairs))]
-    leads = [sum(1 << e for e in range(m) if row[e] > max(row[:e], default=-1)) for row in labels]
-    blocks = [[sum(1 << e for e in range(m) if row[e] == b) for b in range(max(row) + 1)] for row in labels]
-    # mu_of[c] = (-1)^(c-1) (c-1)! merges c blocks into one.
+    full, every_pair = (1 << n) - 1, (1 << len(pairs)) - 1
+    up = [reduce(and_, compress(column, _bits(kept, len(pairs))), full) for kept in together]
+    down = [full & ~reduce(or_, compress(column, _bits(kept ^ every_pair, len(pairs))), 0) for kept in together]
+    blocks = [max(row) + 1 for row in labels]
+    # mu_of[k] = mu(r, top) = (-1)^(k-1) (k-1)! for r with k blocks.
     mu_of = [1] + [(-1) ** c * factorial(c) for c in range(m)]
 
-    full = (1 << n) - 1
-    scaled = [[0] * n for _ in range(n)]
-    for r in range(n):
-        up = full
-        for t in range(len(pairs)):
-            if together[r] >> t & 1:
-                up &= column[t]
-        # mu(r, p) is the product over the blocks of p of mu_of[c], c the
-        # number of blocks of r inside.
-        mus = [(p, prod(mu_of[(leads[r] & block).bit_count()] for block in blocks[p]))
-               for p in compress(range(n), _bits(up, n))]
-        weight = den // mu_of[len(blocks[r])]
-        for p, mu_p in mus:
-            row, c = scaled[p], weight * mu_p
-            for q, mu_q in mus:
-                row[q] += c * mu_q
+    # Coarsest first, so every row a recursion subtracts is already summed;
+    # the row being summed is still 0 inside its own up- or down-set.
+    coarse_first = sorted(range(n), key=blocks.__getitem__)
+    mobius = [0] * n
+    for r in coarse_first:
+        mobius[r] = (1 << 64 * r) - sum(compress(mobius, _bits(up[r], n)))
+    rows = [0] * n
+    for p in reversed(coarse_first):
+        rows[p] = den // mu_of[blocks[p]] * mobius[p] - sum(compress(rows, _bits(down[p], n)))
+    # The up-set of r with k blocks is the lattice of k elements, where
+    # |mu| sums to k!, so bound is at least the absolute sum of beta * den.
+    # It bounds every entry, every partial sum of a split contraction with
+    # 0/1 sides, and, times n, the probe's entries: all stay within int64.
+    bound = sum(den // factorial(k - 1) * factorial(k) ** 2 for k in blocks)
+    if n * bound > _INT64_MAX:
+        raise CapacityError(f"splitting weights for {m} elements overflow int64")
+    scaled = tuple(tuple(_unpack(row, n)) for row in rows)
 
-    # The two-block partitions, and the bitset of the partitions below each.
-    coatoms = [together[c] for c in range(n) if len(blocks[c]) == 2]
-    below = [sum(1 << q for q in range(n) if not together[q] & ~c) for c in coatoms]
-    alpha = []
-    for p in range(n):
-        apart = 0
-        for c, under in zip(coatoms, below):
-            if not together[p] & ~c:
-                apart |= under
-        alpha.append(tuple(_bits(~apart & full, n)))
+    # A two-block partition keeps apart every pair of partitions below it.
+    coatoms = sum(1 << c for c in range(n) if blocks[c] == 2)
+    apart = [reduce(or_, compress(down, _bits(up[p] & coatoms, n)), 0) for p in range(n)]
+    alpha = tuple(tuple(_bits(~mask & full, n)) for mask in apart)
 
-    # Exactness probe: alpha @ (beta @ x) must reproduce x.
-    _check_sums(n, m, sum(map(abs, chain.from_iterable(scaled))))
-    x = range(1, n + 1)
-    bx = [sum(map(mul, row, x)) for row in scaled]
-    if [sum(compress(bx, row)) for row in alpha] != [den * v for v in x]:
+    # Exactness probe: alpha @ (beta @ x) must reproduce x.  beta is
+    # symmetric, so beta @ x is the sum of x[q] times row q.
+    bx = _unpack(sum(map(mul, range(1, n + 1), rows)), n)
+    if [sum(compress(bx, row)) for row in alpha] != [den * x for x in range(1, n + 1)]:
         raise QrelnetError("inverse verification failed", code="singular_matrix")
-    return tuple(alpha), tuple(map(tuple, scaled))
+    return alpha, scaled
+
+
+def _unpack(packed: int, n: int) -> list[int]:
+    """Entries 0 to ``n - 1`` of ``packed``, the sum of ``v[i] << 64 * i``, while each is within int64."""
+    # XOR with ``offset`` flips each field's top bit: packed + offset holds
+    # every entry plus 2**63, with no borrow between fields, and the flip
+    # turns that into the entry's two's complement bytes.
+    offset = int.from_bytes((1 << 63).to_bytes(8, sys.byteorder) * n, sys.byteorder)
+    return memoryview(((packed + offset) ^ offset).to_bytes(8 * n, sys.byteorder)).cast("q").tolist()
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -283,46 +268,6 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 def _bits(mask: int, n: int) -> bytes:
     """Bits 0 to ``n - 1`` of ``mask``, lowest first, as the bytes 0 and 1."""
     return format(mask, f"0{n}b")[::-1].encode().translate(_BITS)
-
-
-def _array_weights(labels: list[list[int]], den: int) -> tuple[tuple, tuple]:
-    """:func:`_int_weights` as numpy products, for more partitions than the lists serve."""
-    import numpy as np
-
-    labels = np.array(labels, dtype=np.int64)
-    n, m = labels.shape
-    blocks = labels.max(axis=1) + 1
-    leads = np.ones((n, m), dtype=np.int64)
-    leads[:, 1:] = labels[:, 1:] > np.maximum.accumulate(labels, axis=1)[:, :-1]
-
-    # Zeta: r refines p iff every pair of elements together in r is together in p.
-    a, b = np.triu_indices(m, 1)
-    together = (labels[:, a] == labels[:, b]) @ (np.int64(1) << np.arange(len(a), dtype=np.int64))
-    zeta = (together[:, None] & ~together[None, :]) == 0
-
-    # Moebius: for r refining p, mu(r, p) is the product over the blocks of p
-    # of mu_of[c], c the number of blocks of r inside; mu_of[c] = (-1)^(c-1)
-    # (c-1)! merges c blocks into one, and mu_of[0] = 1 pads absent blocks.
-    r, p = np.nonzero(zeta)
-    mu_of = np.array([1] + [(-1) ** c * factorial(c) for c in range(m)], dtype=np.int64)
-    inside = np.einsum("ti,tib->tb", leads[r], (labels[p, :, None] == np.arange(m)).astype(np.int64))
-    mobius = np.zeros((n, n), dtype=np.int64)
-    mobius[r, p] = np.prod(mu_of[inside], axis=1)
-
-    # alpha = Z diag(mu(r, top)) Z^T and beta * den = M^T diag(den / mu(r, top)) M,
-    # every partial sum an integer bounded by n * den**3 (checked by the
-    # caller), so the float64 products are exact.
-    top = mu_of[blocks]
-    z, mf = zeta.astype(np.float64), mobius.astype(np.float64)
-    alpha = ((z * top) @ z.T).astype(np.int64)
-    scaled = (mf.T @ ((den // top)[:, None] * mf)).astype(np.int64)
-
-    # Exactness probe in int64, whose partial sums the bound keeps exact.
-    _check_sums(n, m, sum(np.abs(scaled).sum(axis=1).tolist()))
-    x = np.arange(1, n + 1, dtype=np.int64)
-    if not np.array_equal(alpha @ (scaled @ x), den * x):
-        raise QrelnetError("inverse verification failed", code="singular_matrix")
-    return tuple(map(tuple, alpha.tolist())), tuple(map(tuple, scaled.tolist()))
 
 
 def check_matrix_size(m: int) -> None:

@@ -292,10 +292,10 @@ def test_list_split_values_equal_the_array_split(num_edges):
         assert verify_split(k, h, shared)
 
 
-def test_blas_contraction_equals_the_int_contraction(monkeypatch):
-    # Past MAX_LIST_PARTITIONS weight rows the splitting is contracted by
-    # float64 products: on seven shared vertices, and on small cuts once the
-    # gate is lowered, against the int sums.
+def test_int64_contraction_equals_the_int_contraction(monkeypatch):
+    # Past _LIST_ROWS weight rows the splitting is contracted by int64
+    # products: on seven shared vertices, and on small cuts once the gate is
+    # lowered, against the Python int sums.
     ring = tuple("abcdefg")
     k = Graph(ring, tuple(zip(ring, ring[1:] + ring[:1])))
     h = Graph(ring + ("z",), tuple((v, "z") for v in ring))
@@ -304,7 +304,7 @@ def test_blas_contraction_equals_the_int_contraction(monkeypatch):
     rng = random.Random(500)
     cuts = [random_split(rng, num_shared, 2, 10) for num_shared in (1, 2, 3, 4) for _ in range(3)]
     expected = [split_operator(*cut).tolist() for cut in cuts]
-    monkeypatch.setattr(qrelnet.operators, "MAX_LIST_PARTITIONS", 0)
+    monkeypatch.setattr(qrelnet.operators, "_LIST_ROWS", 0)
     assert [split_operator(*cut).tolist() for cut in cuts] == expected
     assert all(verify_split(*cut) for cut in cuts)
 

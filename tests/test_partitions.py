@@ -1,10 +1,10 @@
 """Partition canonical form, enumeration order, and the exact inverse."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 from itertools import chain
-from math import factorial
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from qrelnet import (
     singletons,
 )
 import qrelnet.partitions
-from qrelnet.partitions import _INT64_MAX, M3_REFERENCE_ORDER, _array_weights, _int_weights, _labels
+from qrelnet.partitions import _INT64_MAX, M3_REFERENCE_ORDER, _unpack
 from qrelnet.operators import split_sum
 from helpers import assert_beta_identities, invert_exact, pairwise_merge_alpha, rejection
 
@@ -155,52 +155,58 @@ def _assert_matches_oracle(parts):
     assert [list(row) for row in cm.scaled] == [[int(beta[i][j] * cm.denominator) for j in where] for i in where]
 
 
-def _orders(m):
-    """The partitions of m elements in canonical order, then shuffled."""
-    parts = enumerate_partitions([str(i) for i in range(1, m + 1)])
-    shuffled = list(parts)
-    random.Random(100 + m).shuffle(shuffled)
-    return parts, shuffled
-
-
 @pytest.mark.parametrize("m", range(1, 7))
 def test_closed_form_matches_elimination_in_canonical_and_shuffled_order(m):
-    for parts in _orders(m):
-        _assert_matches_oracle(parts)
+    parts = enumerate_partitions([str(i) for i in range(1, m + 1)])
+    _assert_matches_oracle(parts)
+    random.Random(100 + m).shuffle(parts)
+    _assert_matches_oracle(parts)
 
 
 def test_closed_form_matches_elimination_in_reference_order():
     _assert_matches_oracle(list(M3_REFERENCE_ORDER))
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-def test_int_builder_matches_the_array_builder(m):
-    # The numpy products, which serve past MAX_LIST_PARTITIONS, are the
-    # oracle of the Python-int route below it.
-    for parts in (*_orders(m), *([M3_REFERENCE_ORDER] if m == 3 else [])):
-        index = {v: i for i, v in enumerate(sorted(parts[0].ground_set()))}
-        labels = [_labels(p, index) for p in parts]
-        got = _int_weights(labels, factorial(m - 1))
-        assert got == _array_weights(labels, factorial(m - 1))
-        assert all(type(row) is tuple and all(type(x) is int for x in row) for row in chain(*got))
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_seven_elements_invert_exactly(shuffle):
+    # Past the elimination oracle's reach: alpha @ (beta * den) = den * I,
+    # as float64 products that are exact because every partial sum is an
+    # integer below 2**53.
+    parts = enumerate_partitions([str(i) for i in range(1, 8)])
+    if shuffle:
+        random.Random(107).shuffle(parts)
+    cm = matrix_for_order(parts)
+    alpha, scaled = (np.array(rows, dtype=np.float64) for rows in (cm.alpha, cm.scaled))
+    assert np.abs(scaled).sum() < 2**53
+    assert np.array_equal(alpha @ scaled, cm.denominator * np.eye(BELLS[7]))
+    assert np.array_equal(alpha, alpha.T) and np.array_equal(scaled, scaled.T)
+    assert_beta_identities(cm)
 
 
-def test_array_route_serves_every_size_under_a_lowered_gate(monkeypatch):
-    # Like the CHUNK_BITS test of the classical routes: with the gate at 0
-    # matrix_for_order takes the numpy products at every size.
-    calls = []
+def test_unpack_reads_the_signed_int64_entries_of_sums():
+    a = [-(2**63), 2**63 - 1, 0, -1, 1]
+    b = [2**62, -(2**62), 7, 1, -1]
+    c = [5, -6, 7, 0, -1]
+    pa, pb, pc = (sum(v << 64 * i for i, v in enumerate(row)) for row in (a, b, c))
+    assert [_unpack(x, 5) for x in (pa, pb, pc)] == [a, b, c]
+    assert _unpack(pa + pb, 5) == [x + y for x, y in zip(a, b)]
+    assert _unpack(pb - 3 * pc, 5) == [y - 3 * z for y, z in zip(b, c)]
+    assert _unpack(0, 3) == [0, 0, 0]
 
-    def counted(labels, den):
-        calls.append(len(labels))
-        return _array_weights(labels, den)
 
-    monkeypatch.setattr(qrelnet.partitions, "MAX_LIST_PARTITIONS", 0)
-    monkeypatch.setattr(qrelnet.partitions, "_array_weights", counted)
-    for m in range(1, 7):
-        for parts in _orders(m):
-            _assert_matches_oracle(parts)
-    _assert_matches_oracle(list(M3_REFERENCE_ORDER))
-    assert calls == [BELLS[m] for m in range(1, 7) for _ in range(2)] + [5]
+def test_weights_past_int64_are_a_capacity_error(monkeypatch):
+    monkeypatch.setattr(qrelnet.partitions, "_INT64_MAX", 10**4)
+    with pytest.raises(CapacityError, match="overflow int64"):
+        connectivity_matrix(["1", "2", "3", "4"])
+
+
+def test_a_wrong_weight_fails_the_inverse_probe(monkeypatch):
+    # Read 2! as 3: partitions of three blocks get the weight den / 3, not
+    # den / 2, and beta no longer inverts alpha.
+    monkeypatch.setattr(qrelnet.partitions, "factorial", lambda c: math.factorial(c) + (c == 2))
+    with pytest.raises(QrelnetError) as err:
+        connectivity_matrix(["1", "2", "3", "4"])
+    assert err.value.code == "singular_matrix"
 
 
 def test_weight_pairs_are_the_nonzero_weights_row_major():
@@ -212,8 +218,7 @@ def test_weight_pairs_are_the_nonzero_weights_row_major():
 
 
 def test_weight_arrays_are_read_only_and_divide_to_fraction_bits():
-    # Read-only by type: both routes give tuples of int rows (m = 7 is past
-    # MAX_LIST_PARTITIONS), and alpha's entries are 0 or 1.
+    # Read-only by type: tuples of int rows, alpha's entries 0 or 1.
     for m in range(1, 8):
         cm = connectivity_matrix([str(i) for i in range(1, m + 1)])
         for rows in (cm.alpha, cm.scaled):
@@ -238,8 +243,8 @@ def test_split_sum_weights_have_fraction_bits():
         assert split_sum(cm, left, right).hex() == float(beta[i][j]).hex()
 
 
-# Not reached by any input under the seven-element matrix cap: the float64
-# and int64 bounds of matrix_for_order and its inverse probe.
+# Not reached by any input under the seven-element matrix cap: the int64
+# bound of matrix_for_order and its inverse probe.
 @pytest.mark.parametrize("fn, args, expected", [
     (bell_number, (-1,), "invalid_input"),
     (matrix_for_order, ([],), "invalid_partition"),

@@ -4,8 +4,8 @@
 the user chose a count, each subcommand loads only the modules it runs,
 and no output byte depends on the BLAS thread count.  Without numpy run
 ``reliability`` by factoring or by enumerating at most 16 edges, ``matrix``
-up to 6 elements (203 partitions), and ``split-verify`` on a union of at
-most 16 edges around at most 6 shared vertices.
+at every size, and ``split-verify`` on a union of at most 16 edges around
+at most 6 shared vertices.
 """
 
 import json
@@ -101,9 +101,9 @@ def test_reliability_loads_numpy_only_to_enumerate(tmp_path, method, exact, num_
     assert numpy_loaded_after(argv) is loads_numpy
 
 
-@pytest.mark.parametrize("m, loads_numpy", [(1, False), (6, False), (7, True)])
-def test_matrix_loads_numpy_only_past_203_partitions(m, loads_numpy):
-    assert numpy_loaded_after(["matrix", "--m", str(m)]) is loads_numpy
+@pytest.mark.parametrize("m", [1, 6, 7])
+def test_matrix_loads_no_numpy(m):
+    assert numpy_loaded_after(["matrix", "--m", str(m)]) is False
 
 
 @pytest.mark.parametrize("num_shared, num_edges, loads_numpy",
@@ -165,12 +165,15 @@ def _blas_name() -> str:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
 @pytest.mark.skipif("openblas" not in _blas_name(), reason="the pin is OpenBLAS's variable")
-def test_the_cli_process_runs_one_thread():
-    code = ("import os\n"
+def test_the_cli_process_runs_one_thread(tmp_path):
+    graph, state = tmp_path / "g.json", tmp_path / "s.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    state.write_text(json.dumps({"type": "product", "qubits": [{"p": 0.5}]}))
+    code = ("import os, sys\n"
             "from qrelnet.cli import main\n"
-            "assert main(['matrix', '--m', '7']) == 0\n"
-            "print(len(os.listdir('/proc/self/task')))")
-    assert run_fresh(code) == "1"
+            f"assert main(['qr', '--graph', {str(graph)!r}, '--state', {str(state)!r}]) == 0\n"
+            "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))")
+    assert run_fresh(code) == "True 1"
 
 
 def test_python_m_runs_the_cli_from_a_checkout(tmp_path):
