@@ -25,8 +25,8 @@ _HOMES = {
                   "qr_split_value", "qr_value", "split_operator", "union_graph", "verify_split"),
     "partitions": ("ConnectivityMatrix", "Partition", "bell_number", "connectivity_matrix",
                    "enumerate_partitions", "matrix_for_order", "single_block", "singletons"),
-    "states": ("NORM_TOL", "QubitSpec", "StateVector", "product_state", "qubit", "random_state",
-               "tensor", "two_term_state"),
+    "states": ("NORM_TOL", "QubitSpec", "StateVector", "product_state", "qubit", "tensor",
+               "two_term_state"),
 }
 # Public name -> the submodule that defines it.
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 # Before anything in this process imports numpy: OpenBLAS reads this once,
-# when it loads.  qrelnet makes no BLAS call (its only matrix products are
-# int64, which numpy runs without BLAS), so one thread changes no output
-# byte and starts no worker pool; a user's value wins.
+# when it loads.  qrelnet makes no BLAS call (it has no matrix product), so
+# one thread changes no output byte and starts no worker pool; a user's
+# value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import CapacityError, QrelnetError

@@ -10,15 +10,14 @@ weights are the inverse connectivity matrix of the shared vertex set.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import sqrt
-from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from .classical import CHUNK_BITS, sum_in_order
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
 from .graphs import Graph, component_traces, connectivity_flags, trace_lists
-from .partitions import ConnectivityMatrix, Partition, connectivity_matrix
+from .partitions import ConnectivityMatrix, Partition, connectivity_matrix, contract
 
 # numpy and the state module load in the functions that build arrays, so
 # ``split-verify`` on a small cut runs without them.
@@ -26,11 +25,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .states import StateVector
-
-# Up to Bell(6) = 203 weight rows the splitting is contracted in Python
-# ints.  On seven shared vertices (877 rows) that would take seconds, and
-# it is an int64 numpy product instead.
-_LIST_ROWS = 203
 
 
 def _frozen(diag: np.ndarray) -> np.ndarray:
@@ -152,32 +146,12 @@ def split_sum(cm: ConnectivityMatrix, left, right) -> float:
 def _split_table(cm: ConnectivityMatrix, k_finals, h_finals) -> list[list[int]]:
     """The splitting sum times ``cm.denominator`` on every pair of final states.
 
-    With ``k_rows`` and ``h_rows`` the :func:`_quotient_rows` of the two
-    sides' final traces, ``table[a][b]``, the sum over ``(i, j)`` of
-    ``k_rows[i][a] * scaled[i][j] * h_rows[j][b]``, is the assembled
-    operator times the denominator on every state pair whose final states
-    are ``a`` and ``b``.  It is summed in Python ints up to ``_LIST_ROWS``
-    rows, and past that in int64 products: the 0/1 sides keep every
-    partial sum within the absolute sum of ``cm.scaled``, which
-    matrix_for_order bounds below int64.
+    ``table[a][b]`` sums ``k_rows[i][a] * scaled[i][j] * h_rows[j][b]`` over
+    ``(i, j)``, with ``k_rows`` and ``h_rows`` the :func:`_quotient_rows` of
+    the two sides' final traces: the assembled operator times the
+    denominator on every state pair whose final states are ``a`` and ``b``.
     """
-    n = len(cm.order)
-    k_rows, h_rows = _quotient_rows(cm, k_finals), _quotient_rows(cm, h_finals)
-    if n > _LIST_ROWS:
-        import numpy as np
-
-        scaled = np.fromiter(chain.from_iterable(cm.scaled), dtype=np.int64, count=n * n).reshape(n, n)
-        k_side, h_side = (np.array(rows, dtype=np.int64) for rows in (k_rows, h_rows))
-        return (k_side.T @ (scaled @ h_side)).tolist()
-    h_joining = [list(compress(range(n), column)) for column in zip(*h_rows)]
-    table = []
-    for column in zip(*k_rows):
-        # middle[j]: the sum of scaled[i][j] over the rows i that join this k final state.
-        middle = [0] * n
-        for i in compress(range(n), column):
-            middle = list(map(add, middle, cm.scaled[i]))
-        table.append([sum(map(middle.__getitem__, rows)) for rows in h_joining])
-    return table
+    return contract(cm, _quotient_rows(cm, k_finals), _quotient_rows(cm, h_finals))
 
 
 def split_operator(k: Graph, h: Graph, shared) -> np.ndarray:
@@ -229,12 +203,12 @@ def _split_lists(cm: ConnectivityMatrix, k: Graph, h: Graph, shared, union: Grap
 def verify_split(k: Graph, h: Graph, shared) -> bool:
     """Exact entrywise check of the splitting against the direct operator.
 
-    While the union has at most ``CHUNK_BITS`` edges and the weights at most
-    ``_LIST_ROWS`` rows, both operators are Python int lists
-    (:func:`_split_lists`) and no numpy loads; past that they are arrays.
+    While the union has at most ``CHUNK_BITS`` edges, both operators are
+    Python int lists (:func:`_split_lists`) and no numpy loads; past that
+    they are arrays.
     """
     union, cm = _split_weights(k, h, shared)
-    if union.num_edges <= CHUNK_BITS and len(cm.order) <= _LIST_ROWS:
+    if union.num_edges <= CHUNK_BITS:
         assembled, direct = _split_lists(cm, k, h, shared, union)
         return assembled == direct
     import numpy as np

@@ -15,12 +15,14 @@ inverse is then closed form, beta = M^T D^-1 M with M = Z^-1 the Moebius
 matrix, and (m-1)! clears every denominator, so alpha and beta * (m-1)! are
 integer matrix products with no elimination.  They are summed in Python
 ints, one int per matrix row, by Moebius recursions over the lattice, with
-no numpy, and kept as tuples of int rows.
+no numpy, and kept as tuples of int rows.  ``contract`` sums the same packed
+rows to contract beta over the two sides of a split.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -233,8 +235,9 @@ def _int_weights(labels: list[list[int]], den: int) -> tuple[tuple, tuple]:
         rows[p] = den // mu_of[blocks[p]] * mobius[p] - sum(compress(rows, _bits(down[p], n)))
     # The up-set of r with k blocks is the lattice of k elements, where
     # |mu| sums to k!, so bound is at least the absolute sum of beta * den.
-    # It bounds every entry, every partial sum of a split contraction with
-    # 0/1 sides, and, times n, the probe's entries: all stay within int64.
+    # It bounds every entry, both packed sums of :func:`contract` field by
+    # field (0/1 selections of entries, and middle[j] times 0/1 rows), and,
+    # times n, the probe's entries: all stay within int64.
     bound = sum(den // factorial(k - 1) * factorial(k) ** 2 for k in blocks)
     if n * bound > _INT64_MAX:
         raise CapacityError(f"splitting weights for {m} elements overflow int64")
@@ -253,12 +256,44 @@ def _int_weights(labels: list[list[int]], den: int) -> tuple[tuple, tuple]:
     return alpha, scaled
 
 
+def contract(cm: ConnectivityMatrix, left, right) -> list[list[int]]:
+    """``left^T (beta * den) right`` for lists ``left`` and ``right`` of 0/1 rows over ``cm.order``.
+
+    For each column of ``left``, the packed rows of ``cm.scaled`` that it
+    selects (or the total less the others, when it selects more than half)
+    sum to ``middle``; then ``middle[j]`` times packed ``right[j]`` sums to
+    the result row.  :func:`_int_weights` keeps every field within int64.
+    """
+    n, width = len(cm.order), len(right[0])
+    rows = list(map(_pack, cm.scaled))
+    total, right = sum(rows), list(map(_pack, right))
+    table = []
+    for column in zip(*left):
+        if 2 * sum(column) > n:
+            middle = _unpack(total - sum(compress(rows, [1 - c for c in column])), n)
+        else:
+            middle = _unpack(sum(compress(rows, column)), n)
+        table.append(_unpack(sum(w * row for w, row in zip(middle, right) if w), width))
+    return table
+
+
+def _offset(n: int) -> int:
+    """2**63 in each of ``n`` 64-bit fields."""
+    return int.from_bytes((1 << 63).to_bytes(8, sys.byteorder) * n, sys.byteorder)
+
+
+def _pack(row) -> int:
+    """The sum of ``row[i] << 64 * i`` for int64 entries: the inverse of :func:`_unpack`."""
+    offset = _offset(len(row))
+    return (int.from_bytes(array("q", row).tobytes(), sys.byteorder) ^ offset) - offset
+
+
 def _unpack(packed: int, n: int) -> list[int]:
     """Entries 0 to ``n - 1`` of ``packed``, the sum of ``v[i] << 64 * i``, while each is within int64."""
     # XOR with ``offset`` flips each field's top bit: packed + offset holds
     # every entry plus 2**63, with no borrow between fields, and the flip
     # turns that into the entry's two's complement bytes.
-    offset = int.from_bytes((1 << 63).to_bytes(8, sys.byteorder) * n, sys.byteorder)
+    offset = _offset(n)
     return memoryview(((packed + offset) ^ offset).to_bytes(8 * n, sys.byteorder)).cast("q").tolist()
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import sum_in_order
 from .errors import CapacityError, NormalizationError, QrelnetError
 from .graphs import MAX_EDGES, check_state
 
@@ -116,12 +115,3 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         raise CapacityError(f"tensor product would span {n} edges, cap is {MAX_EDGES}")
     return StateVector(n, np.kron(a.amplitudes, b.amplitudes))
 
-
-def random_state(num_edges: int, seed: int) -> StateVector:
-    """Haar-ish random state: i.i.d. complex Gaussian amplitudes, normalized."""
-    if not 0 <= num_edges <= MAX_EDGES:
-        raise CapacityError(f"states support 0..{MAX_EDGES} edges, got {num_edges}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(1 << num_edges) + 1j * rng.standard_normal(1 << num_edges)
-    v /= np.sqrt(sum_in_order(np.abs(v) ** 2))
-    return StateVector(num_edges, v)

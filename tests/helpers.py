@@ -6,11 +6,12 @@ instead of label union, pairwise merges and elimination instead of the
 Moebius closed form, rational loops instead of integer products, a per-state
 loop and the plain deletion/contraction recursion instead of vectorized
 enumeration and the frontier dynamic program, one quotient graph per
-partition instead of one frontier pass per side, a per-state dict walk
+partition instead of one frontier pass per side, int64 matrix products
+instead of packed-int sums for the split contraction, a per-state dict walk
 instead of label arrays for the frontier compile, a per-entry decoder instead
 of one array conversion for amplitudes, a tree walk that emits text pieces
 instead of one string per value for canonical JSON) so agreement is evidence,
-not tautology.
+not tautology.  ``random_state`` builds test states; no library path uses it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ import networkx as nx
 import numpy as np
 
 from qrelnet import (
+    MAX_EDGES,
+    CapacityError,
     Graph,
     Partition,
     QrelnetError,
+    StateVector,
     WidthMismatchError,
     contract_edge,
     delete_edge,
@@ -38,6 +42,7 @@ from qrelnet import (
     single_block,
     singletons,
 )
+from qrelnet.classical import sum_in_order as prefix_sum
 from qrelnet.serialize import _float_text
 
 
@@ -397,6 +402,23 @@ def sum_in_order(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def int64_contraction(cm, left, right) -> list[list[int]]:
+    """``left^T (beta * den) right`` by int64 numpy products, for 0/1 rows ``left`` and ``right``."""
+    scaled = np.array(cm.scaled, dtype=np.int64)
+    left, right = (np.array(rows, dtype=np.int64) for rows in (left, right))
+    return (left.T @ (scaled @ right)).tolist()
+
+
+def random_state(num_edges: int, seed: int) -> StateVector:
+    """Haar-ish random state: i.i.d. complex Gaussian amplitudes, normalized."""
+    if not 0 <= num_edges <= MAX_EDGES:
+        raise CapacityError(f"states support 0..{MAX_EDGES} edges, got {num_edges}")
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(1 << num_edges) + 1j * rng.standard_normal(1 << num_edges)
+    v /= np.sqrt(prefix_sum(np.abs(v) ** 2))
+    return StateVector(num_edges, v)
 
 
 def frontier_tables_oracle(g: Graph, u):

@@ -28,7 +28,6 @@ from qrelnet import (
     qr_split_value,
     qr_value,
     quotient,
-    random_state,
     reliability_enumerate,
     reliability_factorize,
     sublayer_qr,
@@ -38,7 +37,7 @@ from qrelnet import (
 )
 from qrelnet.cli import main as cli_main
 
-from helpers import assert_beta_identities, random_graph, random_probabilities, random_split
+from helpers import assert_beta_identities, random_graph, random_probabilities, random_split, random_state
 
 
 def _run(number, label, budget_seconds, fn):

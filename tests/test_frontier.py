@@ -24,7 +24,6 @@ from qrelnet import (
     o_gamma_operator,
     qr_operator,
     qr_split_value,
-    random_state,
     reliability_enumerate,
     reliability_factorize,
     split_operator,
@@ -39,6 +38,7 @@ from helpers import (
     enumerate_oracle,
     frontier_tables_oracle,
     horizontal_first_grid,
+    random_state,
     scrambled_k6,
 )
 

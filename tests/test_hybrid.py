@@ -24,7 +24,6 @@ from qrelnet import (
     qr_operator,
     qr_value,
     qubit,
-    random_state,
     reliability_enumerate,
     single_block,
     sublayer_qr,
@@ -32,7 +31,7 @@ from qrelnet import (
     two_term_state,
     union_graph,
 )
-from helpers import random_graph, random_probabilities
+from helpers import random_graph, random_probabilities, random_state
 
 
 def tagged_triangle():

@@ -26,7 +26,6 @@ from qrelnet import (
     qr_split_value,
     qr_value,
     quotient,
-    random_state,
     reliability_enumerate,
     single_block,
     singletons,
@@ -36,15 +35,18 @@ from qrelnet import (
     union_graph,
     verify_split,
 )
-from qrelnet.operators import _split_lists, _split_weights
+from qrelnet.graphs import component_traces
+from qrelnet.operators import _quotient_rows, _split_lists, _split_table, _split_weights
 from qrelnet.partitions import ConnectivityMatrix
 from helpers import (
     bfs_is_connected,
     bfs_trace,
     closure_merge,
+    int64_contraction,
     random_graph,
     random_probabilities,
     random_split,
+    random_state,
     rejection,
     split_diag_fraction_loop,
     sum_in_order,
@@ -292,21 +294,18 @@ def test_list_split_values_equal_the_array_split(num_edges):
         assert verify_split(k, h, shared)
 
 
-def test_int64_contraction_equals_the_int_contraction(monkeypatch):
-    # Past _LIST_ROWS weight rows the splitting is contracted by int64
-    # products: on seven shared vertices, and on small cuts once the gate is
-    # lowered, against the Python int sums.
+def test_int64_contraction_equals_the_int_contraction():
+    # On seven shared vertices, 877 weight rows: the packed-int contraction
+    # against int64 products, and the assembled operator against the direct one.
     ring = tuple("abcdefg")
     k = Graph(ring, tuple(zip(ring, ring[1:] + ring[:1])))
     h = Graph(ring + ("z",), tuple((v, "z") for v in ring))
+    cm = connectivity_matrix(ring)
+    k_finals, h_finals = (component_traces(g, ring)[1] for g in (k, h))
+    expected = int64_contraction(cm, _quotient_rows(cm, k_finals), _quotient_rows(cm, h_finals))
+    assert _split_table(cm, k_finals, h_finals) == expected
     assert split_operator(k, h, ring).tolist() == qr_operator(union_graph(k, h, ring)).tolist()
     assert verify_split(k, h, ring)
-    rng = random.Random(500)
-    cuts = [random_split(rng, num_shared, 2, 10) for num_shared in (1, 2, 3, 4) for _ in range(3)]
-    expected = [split_operator(*cut).tolist() for cut in cuts]
-    monkeypatch.setattr(qrelnet.operators, "_LIST_ROWS", 0)
-    assert [split_operator(*cut).tolist() for cut in cuts] == expected
-    assert all(verify_split(*cut) for cut in cuts)
 
 
 def _cut(num_edges):

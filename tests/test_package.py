@@ -8,8 +8,9 @@ import pytest
 import qrelnet
 
 # The public API as it stood when the package imported every module eagerly,
-# less ``DiagonalOperator`` (operators are plain read-only ndarrays) and
-# ``edge_state_to_text`` (only tests render states, with ``helpers``).
+# less ``DiagonalOperator`` (operators are plain read-only ndarrays),
+# ``edge_state_to_text`` (only tests render states, with ``helpers``) and
+# ``random_state`` (only tests draw random states, also with ``helpers``).
 PUBLIC = {
     "BornEstimate", "CapacityError", "CLASSICAL", "ConnectivityMatrix", "CorrectionTerm",
     "Decomposition", "Graph", "HybridState", "MAX_EDGES", "NORM_TOL",
@@ -18,7 +19,7 @@ PUBLIC = {
     "born_sample", "canonical_decomposition", "connectivity_matrix", "contract_edge",
     "delete_edge", "edge_state_from_text", "enumerate_partitions",
     "hybrid_qr", "matrix_for_order", "merged_name", "o_gamma_operator", "product_state",
-    "qr_operator", "qr_split_value", "qr_value", "quotient", "qubit", "random_state",
+    "qr_operator", "qr_split_value", "qr_value", "quotient", "qubit",
     "reliability_enumerate", "reliability_factorize", "single_block", "singletons",
     "split_operator", "sublayer_qr", "tensor", "two_term_state", "union_graph", "verify_split",
     "vertex_partition_map",

@@ -21,9 +21,9 @@ from qrelnet import (
     singletons,
 )
 import qrelnet.partitions
-from qrelnet.partitions import _INT64_MAX, M3_REFERENCE_ORDER, _unpack
+from qrelnet.partitions import _INT64_MAX, M3_REFERENCE_ORDER, _pack, _unpack, contract
 from qrelnet.operators import split_sum
-from helpers import assert_beta_identities, invert_exact, pairwise_merge_alpha, rejection
+from helpers import assert_beta_identities, int64_contraction, invert_exact, pairwise_merge_alpha, rejection
 
 # Bell numbers 0..8, from the standard recurrence worked by hand.
 BELLS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -192,6 +192,27 @@ def test_unpack_reads_the_signed_int64_entries_of_sums():
     assert _unpack(pa + pb, 5) == [x + y for x, y in zip(a, b)]
     assert _unpack(pb - 3 * pc, 5) == [y - 3 * z for y, z in zip(b, c)]
     assert _unpack(0, 3) == [0, 0, 0]
+    # _pack is the inverse, at the int64 extremes and 0.
+    assert [_pack(row) for row in (a, b, c)] == [pa, pb, pc]
+    assert _pack([0, 0, 0]) == 0
+    for v in (-(2**63), 2**63 - 1, 0):
+        assert _unpack(_pack([v, v]), 2) == [v, v] and _pack(_unpack(v, 1)) == v
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_contract_equals_the_int64_products(m):
+    # Columns of every kind: all zero, all one, all rows but the first (more
+    # than half, summed as the total less the others), the last row alone,
+    # and random ones of each density.
+    cm = connectivity_matrix([str(i) for i in range(1, m + 1)])
+    n = len(cm.order)
+    rng = random.Random(m)
+    columns = [[0] * n, [1] * n, [int(i > 0) for i in range(n)], [int(i == n - 1) for i in range(n)]]
+    columns += [[int(rng.random() < q) for _ in range(n)] for q in (0.2, 0.5, 0.8)]
+    assert any(2 * sum(c) > n for c in columns[1:]) and not any(columns[0])
+    left = [list(row) for row in zip(*columns)]
+    right = [list(row) for row in zip(*columns[::-1], *columns[4:])]
+    assert contract(cm, left, right) == int64_contraction(cm, left, right)
 
 
 def test_weights_past_int64_are_a_capacity_error(monkeypatch):

@@ -22,14 +22,13 @@ from qrelnet import (
     qr_split_value,
     qr_value,
     quotient,
-    random_state,
     reliability_enumerate,
     single_block,
     sublayer_qr,
 )
 from qrelnet.operators import quotient_table
 
-from helpers import quotient_loop, random_split, split_terms_oracle, sum_in_order
+from helpers import quotient_loop, random_split, random_state, split_terms_oracle, sum_in_order
 
 
 def _cuts(seed: int, count: int):

@@ -15,12 +15,11 @@ from qrelnet import (
     StateVector,
     product_state,
     qubit,
-    random_state,
     tensor,
     two_term_state,
 )
 
-from helpers import rejection
+from helpers import random_state, rejection
 
 
 def test_qubit_amplitudes():
