@@ -17,7 +17,7 @@ from .partitions import Partition, partition_of
 
 # numpy loads in the functions that build arrays, so the per-state compile
 # of ``reliability`` (factor, and enum while its states fit one chunk) and
-# of ``split-verify`` on a small cut runs without it.
+# of ``split-verify`` runs without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -256,8 +256,10 @@ def frontier_lists(g: Graph, u) -> tuple[int, list[tuple[list[int], list[int]]],
     labels, each vertex labelled by the first frontier column in its
     component, and a dict numbers the new ones by first appearance, state
     by state, edge absent before edge present.  On a 2-vCPU VM it costs
-    about 4-6 us per search state against about 0.5-1 us for the arrays,
-    so it pays only where the numpy import would cost more.
+    about 4-6 us per search state against about 0.5-1 us for the arrays;
+    it serves the routes that never expand the ``2 ** |E|`` states
+    (factoring and the split check), and enumeration while the numpy
+    import would cost more than the slower compile.
     """
     frontier, stranded, steps = _frontier_schedule(g, u)
     states = [] if stranded else [tuple(range(len(frontier)))]

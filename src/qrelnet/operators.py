@@ -10,17 +10,16 @@ weights are the inverse connectivity matrix of the shared vertex set.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import CHUNK_BITS, sum_in_order
+from .classical import sum_in_order
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
-from .graphs import Graph, component_traces, connectivity_flags, trace_lists
+from .graphs import Graph, component_traces, connectivity_flags, frontier_lists
 from .partitions import ConnectivityMatrix, Partition, connectivity_matrix, contract
 
 # numpy and the state module load in the functions that build arrays, so
-# ``split-verify`` on a small cut runs without them.
+# ``split-verify`` runs without them.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -164,11 +163,6 @@ def split_operator(k: Graph, h: Graph, shared) -> np.ndarray:
     acts on the union's edge order: ``h`` low bits, ``k`` high bits.
     """
     _, cm = _split_weights(k, h, shared)
-    return _assembled(cm, k, h, shared)
-
-
-def _assembled(cm: ConnectivityMatrix, k: Graph, h: Graph, shared) -> np.ndarray:
-    """:func:`split_operator` on a cut already checked, with its weights ``cm``."""
     import numpy as np
 
     k_ids, k_finals = component_traces(k, shared)
@@ -182,38 +176,32 @@ def _assembled(cm: ConnectivityMatrix, k: Graph, h: Graph, shared) -> np.ndarray
     return _frozen(whole)
 
 
-def _split_lists(cm: ConnectivityMatrix, k: Graph, h: Graph, shared, union: Graph) -> tuple[list, list]:
-    """The assembled and the direct operator of the glued graph, times ``cm.denominator``.
-
-    Both are Python int lists over the union's states, from the per-state
-    compile of :func:`~qrelnet.graphs.trace_lists`, so no numpy loads: the
-    first is :func:`split_operator` times the denominator, the second the
-    denominator times ``qr_operator(union)``.
-    """
-    k_ids, k_finals = trace_lists(k, shared)
-    h_ids, h_finals = trace_lists(h, shared)
-    # Each k final state's entries over the h states, in h state order.
-    rows = [list(map(row.__getitem__, h_ids)) for row in _split_table(cm, k_finals, h_finals)]
-    assembled = list(chain.from_iterable(map(rows.__getitem__, k_ids)))
-    ids, finals = trace_lists(union, union.vertices[:1])
-    flags = [cm.denominator * (f is not None) for f in finals]
-    return assembled, list(map(flags.__getitem__, ids))
-
-
 def verify_split(k: Graph, h: Graph, shared) -> bool:
-    """Exact entrywise check of the splitting against the direct operator.
+    """Exact entrywise check of the splitting against the direct operator, with no numpy.
 
-    While the union has at most ``CHUNK_BITS`` edges, both operators are
-    Python int lists (:func:`_split_lists`) and no numpy loads; past that
-    they are arrays.
+    Runs the frontier automata of the union (kept set: one vertex), of
+    ``h`` and of ``k`` (kept set: ``shared``) in lockstep over the union's
+    edges, ``h``'s first, and keeps the reachable tuples of their states.
+    Every edge state ends in one triple ``(union final, h final b, k final
+    a)``, and every such triple comes from some state, so the splitting
+    holds on every state exactly when ``table[a][b]`` of
+    :func:`_split_table` is the denominator on the triples whose union
+    final is connected and 0 on the others.  After ``t`` edges at most
+    ``2 ** t`` tuples are held, never the ``2 ** |E|`` states.
     """
     union, cm = _split_weights(k, h, shared)
-    if union.num_edges <= CHUNK_BITS:
-        assembled, direct = _split_lists(cm, k, h, shared, union)
-        return assembled == direct
-    import numpy as np
-
-    return np.array_equal(_assembled(cm, k, h, shared), qr_operator(union))
+    k_start, k_tables, k_finals = frontier_lists(k, shared)
+    h_start, h_tables, h_finals = frontier_lists(h, shared)
+    u_start, u_tables, u_finals = frontier_lists(union, union.vertices[:1])
+    table = _split_table(cm, k_finals, h_finals)
+    pairs = {(u_start, h_start)}
+    for (u0, u1), (h0, h1) in zip(u_tables, h_tables):
+        pairs = {(u0[u], h0[b]) for u, b in pairs} | {(u1[u], h1[b]) for u, b in pairs}
+    triples = {(u, b, k_start) for u, b in pairs}
+    for (u0, u1), (k0, k1) in zip(u_tables[h.num_edges:], k_tables):
+        triples = {(u0[u], b, k0[a]) for u, b, a in triples} | {(u1[u], b, k1[a]) for u, b, a in triples}
+    den = cm.denominator
+    return all(den * (u_finals[u] is not None) == table[a][b] for u, b, a in triples)
 
 
 def qr_split_value(k: Graph, h: Graph, shared, psi_k: StateVector, psi_h: StateVector) -> float:

@@ -7,8 +7,10 @@ Moebius closed form, rational loops instead of integer products, a per-state
 loop and the plain deletion/contraction recursion instead of vectorized
 enumeration and the frontier dynamic program, one quotient graph per
 partition instead of one frontier pass per side, int64 matrix products
-instead of packed-int sums for the split contraction, a per-state dict walk
-instead of label arrays for the frontier compile, a per-entry decoder instead
+instead of packed-int sums for the split contraction, both split operators
+over every edge state instead of the reachable product states of three
+frontier automata for the split check, a per-state dict walk instead of
+label arrays for the frontier compile, a per-entry decoder instead
 of one array conversion for amplitudes, a tree walk that emits text pieces
 instead of one string per value for canonical JSON) so agreement is evidence,
 not tautology.  ``random_state`` builds test states; no library path uses it.
@@ -43,6 +45,8 @@ from qrelnet import (
     singletons,
 )
 from qrelnet.classical import sum_in_order as prefix_sum
+from qrelnet.graphs import trace_lists
+from qrelnet.operators import _split_table
 from qrelnet.serialize import _float_text
 
 
@@ -409,6 +413,24 @@ def int64_contraction(cm, left, right) -> list[list[int]]:
     scaled = np.array(cm.scaled, dtype=np.int64)
     left, right = (np.array(rows, dtype=np.int64) for rows in (left, right))
     return (left.T @ (scaled @ right)).tolist()
+
+
+def split_lists(cm, k: Graph, h: Graph, shared, union: Graph) -> tuple[list, list]:
+    """The assembled and the direct operator of the glued graph, times ``cm.denominator``.
+
+    Both are Python int lists over all ``2 ** |E|`` states of the union,
+    from the per-state compile of ``trace_lists``: the first is
+    ``split_operator`` times the denominator, the second the denominator
+    times ``qr_operator(union)``.
+    """
+    k_ids, k_finals = trace_lists(k, shared)
+    h_ids, h_finals = trace_lists(h, shared)
+    # Each k final state's entries over the h states, in h state order.
+    rows = [list(map(row.__getitem__, h_ids)) for row in _split_table(cm, k_finals, h_finals)]
+    assembled = list(itertools.chain.from_iterable(map(rows.__getitem__, k_ids)))
+    ids, finals = trace_lists(union, union.vertices[:1])
+    flags = [cm.denominator * (f is not None) for f in finals]
+    return assembled, list(map(flags.__getitem__, ids))
 
 
 def random_state(num_edges: int, seed: int) -> StateVector:

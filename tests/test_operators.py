@@ -36,7 +36,7 @@ from qrelnet import (
     verify_split,
 )
 from qrelnet.graphs import component_traces
-from qrelnet.operators import _quotient_rows, _split_lists, _split_table, _split_weights
+from qrelnet.operators import _quotient_rows, _split_table, _split_weights
 from qrelnet.partitions import ConnectivityMatrix
 from helpers import (
     bfs_is_connected,
@@ -49,6 +49,7 @@ from helpers import (
     random_state,
     rejection,
     split_diag_fraction_loop,
+    split_lists,
     sum_in_order,
 )
 
@@ -276,8 +277,7 @@ def test_qr_split_value_matches_direct_tensor_path():
 
 @pytest.mark.parametrize("num_edges", [16, 17])
 def test_list_split_values_equal_the_array_split(num_edges):
-    # 16 edges is the largest union verify_split checks as lists; the list
-    # route is called directly here on both sides of that gate.
+    # The list oracle expands both operators over all 2^|E| states.
     rng = random.Random(400 + num_edges)
     cuts = [random_split(rng, num_shared, 3, num_edges, min_total_edges=num_edges)
             for num_shared in (1, 2, 3, 4) for _ in range(3)]
@@ -287,7 +287,7 @@ def test_list_split_values_equal_the_array_split(num_edges):
     for k, h, shared in cuts:
         union, cm = _split_weights(k, h, shared)
         assert union.num_edges == num_edges
-        assembled, direct = _split_lists(cm, k, h, shared, union)
+        assembled, direct = split_lists(cm, k, h, shared, union)
         den = cm.denominator
         assert assembled == [den * x for x in split_operator(k, h, shared).tolist()]
         assert direct == [den * x for x in qr_operator(union).tolist()]
@@ -318,8 +318,8 @@ def _cut(num_edges):
 
 @pytest.mark.parametrize("num_edges", [16, 17])
 def test_verify_split_catches_a_wrong_weight(monkeypatch, num_edges):
-    # The splitting always holds, so only broken weights show that each
-    # route can answer False.  Every island-free state of either side
+    # The splitting always holds, so only broken weights show that
+    # verify_split can answer False.  Every island-free state of either side
     # connects the quotient by the single block, so a changed weight between
     # the single blocks changes every such entry.
     real = qrelnet.operators.connectivity_matrix
@@ -334,6 +334,84 @@ def test_verify_split_catches_a_wrong_weight(monkeypatch, num_edges):
     assert verify_split(k, h, shared)
     monkeypatch.setattr(qrelnet.operators, "connectivity_matrix", broken)
     assert verify_split(k, h, shared) is False
+
+
+def _edgeless(names) -> Graph:
+    return Graph(tuple(names), ())
+
+
+def _differential_cuts():
+    """Seeded cuts on 1-7 shared vertices and 2-24 union edges, with the corner cases named."""
+    rng = random.Random(97)
+    cuts = [random_split(rng, 1 + i % 6, 2, 20, min_side_edges=0) for i in range(18)]
+    cuts.append(random_split(rng, 7, 1, 14))  # 877 partitions, the largest shared set
+    cuts.append(random_split(rng, 2, 2, 24, min_total_edges=24))
+    k, h, shared = random_split(rng, 3, 0, 10, min_total_edges=6)
+    cuts += [
+        (_edgeless(shared), h, shared),  # k has no edge
+        (k, _edgeless(shared), shared),  # h has no edge
+        (Graph(k.vertices + ("x",), k.edges), h, shared),  # a vertex of k with no edge
+        (k, Graph(h.vertices + ("y",), h.edges), shared),  # a vertex of h with no edge
+        # a shared vertex with no edge
+        (Graph(k.vertices + ("s3",), k.edges), Graph(h.vertices + ("s3",), h.edges), shared + ["s3"]),
+    ]
+    return cuts
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_verify_split_is_the_array_equality(monkeypatch, broken):
+    # verify_split walks reachable product states; the assembled array
+    # against the direct one is the same check over every edge state.  With
+    # one weight changed, split_operator and verify_split see the same
+    # wrong weights, and both routes must still agree.
+    cuts = _differential_cuts()
+    edges = [e for k, h, _ in cuts for e in k.edges + h.edges]
+    assert any(a == b for a, b in edges)  # loops
+    assert any(len(set(g.edges)) < g.num_edges for k, h, _ in cuts for g in (k, h))  # parallel edges
+    assert {len(shared) for _, _, shared in cuts} == set(range(1, 8))
+    assert max(k.num_edges + h.num_edges for k, h, _ in cuts) == 24
+    assert min(k.num_edges + h.num_edges for k, h, _ in cuts) <= 2
+    rng = random.Random(98)
+    real = qrelnet.operators.connectivity_matrix
+    outcomes = []
+    for k, h, shared in cuts:
+        if broken:
+            cm = real(shared)
+            scaled = [list(row) for row in cm.scaled]
+            scaled[rng.randrange(len(scaled))][rng.randrange(len(scaled))] += 1
+            wrong = ConnectivityMatrix(cm.order, cm.alpha, tuple(map(tuple, scaled)), cm.denominator)
+            monkeypatch.setattr(qrelnet.operators, "connectivity_matrix", lambda _, wrong=wrong: wrong)
+        expected = np.array_equal(split_operator(k, h, shared), qr_operator(union_graph(k, h, shared)))
+        assert verify_split(k, h, shared) is expected, (k, h, shared)
+        outcomes.append(expected)
+    if broken:
+        assert 0 < outcomes.count(False) < len(outcomes)
+    else:
+        assert all(outcomes)
+
+
+@pytest.mark.parametrize("num_shared, num_edges", [(2, 9), (3, 20), (4, 17)])
+def test_verify_split_catches_one_wrong_entry_that_few_states_reach(monkeypatch, num_shared, num_edges):
+    # Change the contraction at the one reachable pair of final states
+    # (a, b) that the fewest edge states reach: the product walk must still
+    # land on it.  A whole denominator keeps split_operator's entries integers.
+    k, h, shared = random_split(random.Random(300 + num_edges), num_shared, 2, num_edges,
+                                min_total_edges=num_edges)
+    k_ids, h_ids = (component_traces(g, shared)[0] for g in (k, h))
+    hits = np.outer(np.bincount(k_ids), np.bincount(h_ids))
+    a, b = min(zip(*np.nonzero(hits)), key=lambda ab: hits[ab])
+    assert 16 * hits[a, b] <= hits.sum()
+    real = qrelnet.operators._split_table
+
+    def one_wrong(cm, k_finals, h_finals):
+        table = real(cm, k_finals, h_finals)
+        table[a][b] += cm.denominator
+        return table
+
+    assert verify_split(k, h, shared)
+    monkeypatch.setattr(qrelnet.operators, "_split_table", one_wrong)
+    assert verify_split(k, h, shared) is False
+    assert not np.array_equal(split_operator(k, h, shared), qr_operator(union_graph(k, h, shared)))
 
 
 def _bad_cuts(num_edges):

@@ -3,9 +3,8 @@
 ``import qrelnet`` loads nothing; the CLI pins OpenBLAS to one thread unless
 the user chose a count, each subcommand loads only the modules it runs,
 and no output byte depends on the BLAS thread count.  Without numpy run
-``reliability`` by factoring or by enumerating at most 16 edges, ``matrix``
-at every size, and ``split-verify`` on a union of at most 16 edges, at
-every size of the shared set.
+``reliability`` by factoring or by enumerating at most 16 edges, and
+``matrix`` and ``split-verify`` at every size.
 """
 
 import json
@@ -106,9 +105,8 @@ def test_matrix_loads_no_numpy(m):
     assert numpy_loaded_after(["matrix", "--m", str(m)]) is False
 
 
-@pytest.mark.parametrize("num_shared, num_edges, loads_numpy",
-                         [(3, 16, False), (3, 17, True), (6, 16, False), (7, 16, False)])
-def test_split_verify_loads_numpy_only_past_16_edges(tmp_path, num_shared, num_edges, loads_numpy):
+@pytest.mark.parametrize("num_shared, num_edges", [(3, 16), (3, 17), (3, 24), (6, 16), (7, 16)])
+def test_split_verify_loads_no_numpy(tmp_path, num_shared, num_edges):
     # Each side is a ring through the shared vertices and one of its own,
     # with chords once the ring is full; k takes half the edges, h the rest.
     shared = [f"s{i}" for i in range(num_shared)]
@@ -118,9 +116,8 @@ def test_split_verify_loads_numpy_only_past_16_edges(tmp_path, num_shared, num_e
         (tmp_path / f"{name}.json").write_text(json.dumps({"vertices": ring, "edges": edges}))
     argv = ["split-verify", "--k", str(tmp_path / "k.json"), "--h", str(tmp_path / "h.json"),
             "--shared", ",".join(shared)]
-    assert numpy_loaded_after(argv) is loads_numpy
-    if not loads_numpy:
-        assert not loaded_after(argv) & {"states", "hybrid"}
+    assert numpy_loaded_after(argv) is False
+    assert not loaded_after(argv) & {"states", "hybrid"}
 
 
 def test_the_graph_partition_and_classical_modules_import_no_numpy():
