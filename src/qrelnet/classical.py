@@ -1,14 +1,15 @@
 """All-terminal reliability of multigraphs with independent edge failures.
 
-Two routes to the same number, both over one frontier schedule of
-:mod:`qrelnet.graphs`: an enumeration of the connected edge states, and the
-deletion/contraction recursion run as a dynamic program over frontier
-states.  The factor route, and the enumeration while its ``2 ** |E|``
-states fit one chunk, run on the transition tables as Python lists from
-:func:`~qrelnet.graphs.frontier_lists`, with no numpy; a larger
-enumeration walks the numpy tables of
-:func:`~qrelnet.graphs.frontier_tables` in chunks.  numpy loads only in the
-functions that build arrays.  Both accept floats or exact rationals; with
+Two routes to the same number, both over the one frontier compile of
+:mod:`qrelnet.graphs`, :func:`~qrelnet.graphs.frontier_lists`: an
+enumeration of the connected edge states, and the deletion/contraction
+recursion run as a dynamic program over frontier states.  The factor
+route, and the enumeration while its ``2 ** |E|`` states fit one chunk,
+walk its Python-list tables in the given edge order, with no numpy; a
+larger enumeration takes the flags of
+:func:`~qrelnet.graphs.connectivity_flags`, compiled in a breadth-first
+edge order, and weighs them in chunks.  numpy loads only in the functions
+that build arrays.  Both accept floats or exact rationals; with
 ``fractions.Fraction`` probabilities every intermediate stays exact.
 """
 

@@ -15,9 +15,9 @@ from typing import TYPE_CHECKING
 from .errors import CapacityError, QrelnetError, WidthMismatchError
 from .partitions import Partition, partition_of
 
-# numpy loads in the functions that build arrays, so the per-state compile
-# of ``reliability`` (factor, and enum while its states fit one chunk) and
-# of ``split-verify`` runs without it.
+# numpy loads only in the functions that build ``2 ** |E|`` arrays, so the
+# one frontier compile, ``frontier_lists``, serves ``reliability`` (factor,
+# and enum while its states fit one chunk) and ``split-verify`` without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -135,18 +135,27 @@ def contract_edge(g: Graph, e: int) -> Graph:
     return rest if a == b else quotient(rest, (a, b), Partition(((a, b),)))
 
 
-def _frontier_schedule(g: Graph, u) -> tuple[list[str], bool, list[tuple]]:
-    """The frontier of every edge of ``g``, shared by both numberings of its states.
+def frontier_lists(g: Graph, u) -> tuple[int, list[tuple[list[int], list[int]]], list[Partition | None]]:
+    """Compile ``g`` into per-edge transition tables over frontier partitions, with no numpy.
 
-    Returns ``(frontier, stranded, steps)``.  Edges are taken in index order,
-    and the live vertices are those of ``u``, kept to the end, and those with
-    an edge still to come; a vertex leaves after its last edge.
-    ``frontier`` lists the live vertices before edge 0, and ``stranded``
-    says that a vertex outside ``u`` has no edge, an island in every state.
-    ``steps[k]`` is ``(grown, ia, ib, leaving, kept)``: the live vertices
-    once edge ``k``'s endpoints have joined (the old ones first), the
-    columns of its endpoints, the columns of the endpoints that leave after
-    it, and the columns that stay, in order.
+    Returns ``(start, tables, finals)``.  Edges are taken in index order, and
+    the live vertices are those of ``u``, kept to the end, and those with an
+    edge still to come; a vertex leaves after its last edge.  A search state
+    is the partition of the live vertices into components, or the dead
+    state 0 once a component has closed without reaching ``u`` (from the
+    start if a vertex outside ``u`` has no edge).  ``tables[k]`` is a pair
+    of Python int lists (edge absent, edge present) that map each state
+    before edge ``k`` to its successor; the dead state maps to itself.
+    ``start`` is the state before edge 0, and ``finals[s]`` is the
+    component trace on ``u`` of final state ``s`` (``None`` for the dead
+    state).
+
+    A state is a tuple of labels, each vertex labelled by the first live
+    column in its component, and a dict numbers the new ones by first
+    appearance, state by state, edge absent before edge present.  Edge
+    ``k`` meets at most ``2 ** k`` search states, so compiling never costs
+    more than enumerating, but how many it meets depends on the edge order,
+    which :func:`component_traces` therefore chooses breadth first.
     """
     uset = set(u)
     if not uset <= set(g.vertices):
@@ -159,118 +168,26 @@ def _frontier_schedule(g: Graph, u) -> tuple[list[str], bool, list[tuple]]:
             last[v] = k
     frontier = [v for v in g.vertices if v in uset]
     stranded = any(v not in uset and v not in first for v in g.vertices)
-    steps, live = [], frontier
+    states = [] if stranded else [tuple(range(len(frontier)))]
+    tables = []
     for k, (a, b) in enumerate(g.edges):
-        grown = live + [v for v in dict.fromkeys((a, b)) if v not in uset and first[v] == k]
+        # The live vertices once the edge's endpoints have joined, old ones first.
+        grown = frontier + [v for v in dict.fromkeys((a, b)) if v not in uset and first[v] == k]
         ia, ib = grown.index(a), grown.index(b)
         leaving = [i for i in {ia, ib} if grown[i] not in uset and last[grown[i]] == k]
         kept = [i for i in range(len(grown)) if i not in leaving]
-        steps.append((grown, ia, ib, leaving, kept))
-        live = [grown[i] for i in kept]
-    return frontier, stranded, steps
-
-
-def _number_partitions(live: np.ndarray, num_labels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct partitions in the rows of ``live`` from 1, by first appearance.
-
-    A row partitions the columns by their labels, all below ``num_labels``.
-    Its canonical form names each column by the first column with its label
-    (``[2, 0, 2, 1]`` becomes ``[0, 1, 0, 3]``), so column ``j`` holds at most
-    ``j`` and the row reads as a mixed-radix code, digit ``j`` of radix
-    ``j + 1``, ranked densely before it could pass 2**62.  Returns
-    ``(ids, distinct)``: the number of each row, the canonical form of each number.
-    """
-    import numpy as np
-
-    slots = np.arange(len(live))[:, None] * num_labels + live
-    first = np.empty(len(live) * num_labels, dtype=live.dtype)
-    for j in reversed(range(live.shape[1])):
-        first[slots[:, j]] = j
-    key = first[slots]
-    code, bound = np.zeros(len(live), dtype=np.int64), 1
-    for j in range(key.shape[1]):
-        if bound * (j + 1) > 2**62:
-            uniques, code = np.unique(code, return_inverse=True)
-            bound = len(uniques)
-        code, bound = code * (j + 1) + key[:, j], bound * (j + 1)
-    # return_index sorts stably, so ``heads`` are first occurrences.
-    _, heads, group = np.unique(code, return_index=True, return_inverse=True)
-    number = np.argsort(np.argsort(heads)) + 1
-    return number[group], key[np.sort(heads)]
-
-
-def frontier_tables(g: Graph, u) -> tuple[int, list[np.ndarray], list[Partition | None]]:
-    """Compile ``g`` into per-edge transition tables over frontier partitions.
-
-    Returns ``(start, tables, finals)``.  Edges are taken in index order, and
-    a search state is the partition of the live vertices (see
-    :func:`_frontier_schedule`) into components, or the dead state 0 once a
-    component has closed without reaching ``u``.  ``tables[k]`` has shape
-    ``(2, S_k + 1)``: row 0 maps each state before edge ``k`` to its
-    successor with the edge absent, row 1 with it present; the dead state
-    maps to itself.  ``start`` is the state before edge 0, and ``finals[s]``
-    is the component trace on ``u`` of final state ``s`` (``None`` for the
-    dead state).  Edge ``k`` meets at most ``2 ** k`` search states, so
-    compiling never costs more than enumerating.
-
-    The states before an edge are one ``(S_k, width)`` matrix of component
-    labels, each vertex labelled by the first frontier column in its
-    component; both successors of every state are built at once, and new
-    states are numbered by first appearance, state by state, edge absent
-    before edge present.  :func:`frontier_lists` gives the same numbers.
-    """
-    import numpy as np
-
-    frontier, stranded, steps = _frontier_schedule(g, u)
-    # Row i holds the labels of state i + 1, one column per frontier vertex.
-    labels = np.arange(len(frontier), dtype=np.int32).reshape(1, -1)[: 0 if stranded else 1]
-    tables = []
-    for grown, ia, ib, leaving, kept in steps:
-        n, width = len(labels), len(frontier)
-        # Row 2i is state i + 1 with the edge absent, row 2i + 1 with it present.
-        both = np.empty((n, 2, len(grown)), dtype=np.int32)
-        both[:, 0, :width] = labels
-        both[:, 0, width:] = np.arange(width, len(grown))
-        absent = both[:, 0]
-        both[:, 1] = np.where(absent == absent[:, ib, None], absent[:, ia, None], absent)
-        both = both.reshape(2 * n, len(grown))
-        live = both[:, kept]
-        alive = np.ones(2 * n, dtype=bool)
-        for i in leaving:
-            alive &= (live == both[:, i, None]).any(axis=1)
-        ids = np.zeros(2 * n, dtype=np.int32)
-        ids[alive], labels = _number_partitions(live[alive], len(grown))
-        table = np.zeros((2, n + 1), dtype=np.int32)
-        table[:, 1:] = ids.reshape(n, 2).T
-        tables.append(table)
-        frontier = [grown[i] for i in kept]
-    finals = [None] + [partition_of(frontier, row) for row in labels.tolist()]
-    return 0 if stranded else 1, tables, finals
-
-
-def frontier_lists(g: Graph, u) -> tuple[int, list[tuple[list[int], list[int]]], list[Partition | None]]:
-    """:func:`frontier_tables` compiled state by state, with no numpy.
-
-    Returns the same ``(start, tables, finals)``, each table a pair of
-    Python int lists (edge absent, edge present).  A state is a tuple of
-    labels, each vertex labelled by the first frontier column in its
-    component, and a dict numbers the new ones by first appearance, state
-    by state, edge absent before edge present.  On a 2-vCPU VM it costs
-    about 4-6 us per search state against about 0.5-1 us for the arrays;
-    it serves the routes that never expand the ``2 ** |E|`` states
-    (factoring and the split check), and enumeration while the numpy
-    import would cost more than the slower compile.
-    """
-    frontier, stranded, steps = _frontier_schedule(g, u)
-    states = [] if stranded else [tuple(range(len(frontier)))]
-    tables = []
-    for grown, ia, ib, leaving, kept in steps:
         fresh = tuple(range(len(frontier), len(grown)))
         number: dict[tuple, int] = {}
         absent, present = [0], [0]
         for labels in states:
             labels += fresh
-            x, y = labels[ia], labels[ib]
+            x, y = sorted((labels[ia], labels[ib]))
+            if not leaving:
+                # The state, and its merge into the lower label, keep the canonical form.
+                absent.append(number.setdefault(labels, len(number) + 1))
+                merged = tuple([x if lab == y else lab for lab in labels])
+                present.append(number.setdefault(merged, len(number) + 1))
+                continue
             live = [labels[i] for i in kept]
             if all(labels[i] in live for i in leaving):
                 absent.append(number.setdefault(tuple(map(live.index, live)), len(number) + 1))
@@ -291,11 +208,40 @@ def frontier_lists(g: Graph, u) -> tuple[int, list[tuple[list[int], list[int]]],
     return 0 if stranded else 1, tables, finals
 
 
+def _breadth_first_order(g: Graph) -> list[int]:
+    """The edge indices of ``g`` in a breadth-first order, which keeps the frontier narrow.
+
+    Numbers the vertices breadth first from the first listed vertex of each
+    component, neighbours in edge order, and sorts the edges stably by their
+    later endpoint's number, then their earlier one's: the bandwidth-reducing
+    order of Cuthill & McKee (1969).
+    """
+    neighbours: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for a, b in g.edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    number: dict[str, int] = {}
+    for root in g.vertices:
+        if root in number:
+            continue
+        number[root] = len(number)
+        queue = [root]
+        for v in queue:
+            for w in neighbours[v]:
+                if w not in number:
+                    number[w] = len(number)
+                    queue.append(w)
+    return sorted(range(g.num_edges), key=lambda k: sorted(map(number.__getitem__, g.edges[k]), reverse=True))
+
+
 def trace_lists(g: Graph, u) -> tuple[list[int], list[Partition | None]]:
-    """:func:`component_traces` on the tables of :func:`frontier_lists`, with no numpy.
+    """:func:`component_traces` as Python lists, on the edges in their given order, with no numpy.
 
     Returns ``(ids, finals)`` with ``ids`` a Python int list, doubled once
-    per edge, so edge ``k`` stays bit ``k`` of the state index.
+    per edge, so edge ``k`` stays bit ``k`` of the state index.  The final
+    states are numbered by :func:`frontier_lists` on ``g`` itself, so
+    ``finals[ids[state]]`` is that of :func:`component_traces` but the
+    numbers may differ.
     """
     start, tables, finals = frontier_lists(g, u)
     ids = [start]
@@ -310,26 +256,32 @@ def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:
     Returns ``(ids, finals)``: ``finals[ids[state]]`` is the partition of
     ``u`` whose blocks are the intersections of the active components with
     ``u``, or ``None`` when some component misses ``u`` entirely (an island,
-    which no vertex merge can ever reconnect).  Applies the tables of
-    :func:`frontier_tables` with one gather per edge and bit value, with
-    edge ``k`` on bit ``k`` of the state index.
+    which no vertex merge can ever reconnect).  Compiles
+    :func:`frontier_lists` on the edges in :func:`_breadth_first_order`, and
+    applies table ``j``, of edge ``k = order[j]``, with one gather per bit
+    value along the axis of bit ``k`` of a ``(2,) * |E|`` array, so edge
+    ``k`` stays bit ``k`` of the state index.
     """
     import numpy as np
 
-    start, tables, finals = frontier_tables(g, u)
-    ids = np.array([start], dtype=np.int32)
-    for table in tables:
-        ids = np.concatenate((table[0][ids], table[1][ids]))
-    return ids, finals
+    order = _breadth_first_order(g)
+    start, tables, finals = frontier_lists(Graph(g.vertices, [g.edges[k] for k in order]), u)
+    n = g.num_edges
+    ids = np.full((1,) * n, start, dtype=np.int32)
+    for k, pair in zip(order, tables):
+        absent, present = np.array(pair, dtype=np.int32)
+        # ``take`` gathers by int32 indices without converting them to intp.
+        ids = np.concatenate((absent.take(ids), present.take(ids)), axis=n - 1 - k)
+    return ids.reshape(-1), finals
 
 
 def connectivity_flags(g: Graph) -> np.ndarray:
     """``uint8`` 0/1 flag of every edge state: 1 where it connects all of ``g``.
 
-    One kept vertex turns "no island" into "one component"; graphs with no
-    vertex or a single vertex are connected in every state.
+    One kept vertex turns "no island" into "one component", and leaves one
+    live final state, numbered 1, so the trace ids are the flags; graphs
+    with no vertex or a single vertex are connected in every state.
     """
     import numpy as np
 
-    ids, finals = component_traces(g, g.vertices[:1])
-    return np.array([f is not None for f in finals], dtype=np.uint8)[ids]
+    return component_traces(g, g.vertices[:1])[0].astype(np.uint8)

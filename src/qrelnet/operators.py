@@ -159,8 +159,9 @@ def split_operator(k: Graph, h: Graph, shared) -> np.ndarray:
     Computes ``sum over (gamma, gamma') of beta[gamma][gamma'] *
     QR(k/gamma) (x) QR(h/gamma')`` exactly: :func:`_split_table` contracts
     beta, scaled to a common denominator, over the final states of the two
-    frontier passes, and every state pair gathers its entry.  The result
-    acts on the union's edge order: ``h`` low bits, ``k`` high bits.
+    frontier passes; that small table is divided by the denominator, and
+    every state pair gathers its entry.  The result acts on the union's
+    edge order: ``h`` low bits, ``k`` high bits.
     """
     _, cm = _split_weights(k, h, shared)
     import numpy as np
@@ -168,12 +169,11 @@ def split_operator(k: Graph, h: Graph, shared) -> np.ndarray:
     k_ids, k_finals = component_traces(k, shared)
     h_ids, h_finals = component_traces(h, shared)
     table = np.array(_split_table(cm, k_finals, h_finals), dtype=np.int64)
-    # Row sk, column sh is state sk * 2^|E_h| + sh, so flattening keeps k-major order.
-    scaled = table[k_ids[:, None], h_ids].ravel()
-    whole, rest = np.divmod(scaled, cm.denominator)
+    whole, rest = np.divmod(table, cm.denominator)
     if rest.any():
-        whole = np.array([Fraction(x, cm.denominator) for x in scaled.tolist()], dtype=object)
-    return _frozen(whole)
+        whole = np.array([[Fraction(x, cm.denominator) for x in row] for row in table.tolist()], dtype=object)
+    # Row sk, column sh is state sk * 2^|E_h| + sh, so flattening keeps k-major order.
+    return _frozen(whole[k_ids[:, None], h_ids].reshape(-1))
 
 
 def verify_split(k: Graph, h: Graph, shared) -> bool:

@@ -444,7 +444,7 @@ def random_state(num_edges: int, seed: int) -> StateVector:
 
 
 def frontier_tables_oracle(g: Graph, u):
-    """``frontier_tables`` by the per-state walk over label tuples and dict keys.
+    """The tables of ``frontier_lists`` as int32 arrays, by a walk over label tuples and dict keys.
 
     Search states are numbered by first appearance as their successors are
     built, state by state, edge absent before edge present.

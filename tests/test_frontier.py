@@ -2,10 +2,12 @@
 
 Every all-states connectivity user (``qr_operator``, ``o_gamma_operator``,
 ``reliability_enumerate``) runs on the engine; the per-state breadth-first
-searches in ``helpers`` are the slow route it replaced.  The compile itself
-is checked table for table against the per-state dict walk it replaced,
-and so is the per-state compile that the factor route runs on.
-Each splitting entry point compiles each side of its cut exactly once.
+searches in ``helpers`` are the slow route it replaced.  The one compile,
+``frontier_lists``, is checked table for table against the per-state dict
+walk of ``helpers``, and the breadth-first edge order that
+``component_traces`` compiles is checked against the given order of
+``trace_lists``, trace for trace.  Each splitting entry point compiles each
+side of its cut exactly once.
 """
 
 import random
@@ -29,7 +31,7 @@ from qrelnet import (
     split_operator,
     sublayer_qr,
 )
-from qrelnet.graphs import component_traces, frontier_lists, frontier_tables
+from qrelnet.graphs import _breadth_first_order, component_traces, frontier_lists, trace_lists
 
 from helpers import (
     bfs_is_connected,
@@ -76,36 +78,58 @@ def test_exact_enumeration_equals_factorization():
         assert reliability_enumerate(g, probs) == reliability_factorize(g, probs)
 
 
-def test_frontier_tables_equal_the_per_state_compile():
-    rng = random.Random(28)
-    # Twenty-six vertices kept live: the row codes pass 2**62 and are ranked.
-    wide = Graph(tuple(f"w{i:02d}" for i in range(26)),
+def _wide() -> Graph:
+    """Twenty-six vertices, all kept live by a full kept set: the widest frontier here."""
+    return Graph(tuple(f"w{i:02d}" for i in range(26)),
                  (("w00", "w25"), ("w03", "w21"), ("w21", "w25"), ("w10", "w10"), ("w24", "w00")))
-    graphs = [*edge_case_graphs(29, 150, 6, 9), scrambled_k6(), horizontal_first_grid(3, 4),
-              horizontal_first_grid(2, 6), wide]
+
+
+def _compile_cases(seed: int):
+    """Graphs with their kept sets: one vertex, a random half, all vertices and none."""
+    rng = random.Random(seed)
+    graphs = [*edge_case_graphs(seed + 1, 150, 6, 9), scrambled_k6(), horizontal_first_grid(3, 4),
+              horizontal_first_grid(2, 6), _wide()]
     for g in graphs:
-        subsets = (g.vertices[:1], [v for v in g.vertices if rng.random() < 0.5], g.vertices, ())
-        for u in subsets:
-            start, tables, finals = frontier_tables(g, u)
-            expected_start, expected_tables, expected_finals = frontier_tables_oracle(g, u)
-            assert (start, finals) == (expected_start, expected_finals)
-            assert len(tables) == len(expected_tables)
-            for table, expected in zip(tables, expected_tables):
-                assert table.dtype == expected.dtype
-                assert np.array_equal(table, expected)
-            # The numpy-free compile gives the same numbers as lists.
-            assert frontier_lists(g, u) == (expected_start, [tuple(t.tolist()) for t in expected_tables],
-                                            expected_finals)
+        for u in (g.vertices[:1], [v for v in g.vertices if rng.random() < 0.5], g.vertices, ()):
+            yield g, u
+
+
+def test_frontier_tables_equal_the_per_state_compile():
+    for g, u in _compile_cases(28):
+        expected_start, expected_tables, expected_finals = frontier_tables_oracle(g, u)
+        assert frontier_lists(g, u) == (expected_start, [tuple(t.tolist()) for t in expected_tables],
+                                        expected_finals)
+
+
+def test_component_traces_equal_the_given_order_compile():
+    # component_traces compiles a breadth-first edge order and trace_lists
+    # the given one: their numbers may differ, never their traces.
+    for g, u in _compile_cases(30):
+        order = _breadth_first_order(g)
+        assert sorted(order) == list(range(g.num_edges))
+        ids, finals = component_traces(g, u)
+        expected_ids, expected_finals = trace_lists(g, u)
+        assert ids.dtype == np.int32
+        assert [finals[i] for i in ids.tolist()] == [expected_finals[i] for i in expected_ids]
+
+
+def test_the_breadth_first_order_narrows_a_horizontal_first_grid():
+    # Breadth first from a corner, the live vertices stay one diagonal of the grid.
+    g = horizontal_first_grid(3, 4)
+    given = frontier_lists(g, g.vertices[:1])[1]
+    ordered = frontier_lists(Graph(g.vertices, [g.edges[k] for k in _breadth_first_order(g)]), g.vertices[:1])[1]
+    assert [sum(len(t0) - 1 for t0, _ in tables) for tables in (given, ordered)] == [3948, 255]
 
 
 def test_every_split_runs_one_frontier_pass_per_side(monkeypatch):
     calls = []
+    real = qrelnet.graphs.frontier_lists
 
     def counted(g, u):
-        calls.append(g)
-        return frontier_tables(g, u)
+        calls.append(sorted(g.edges))
+        return real(g, u)
 
-    monkeypatch.setattr(qrelnet.graphs, "frontier_tables", counted)
+    monkeypatch.setattr(qrelnet.graphs, "frontier_lists", counted)
     # A sublayer cut: the quantum side lives on exactly the shared vertices.
     k = Graph(("a", "b"), (("a", "b"), ("b", "a")))
     h = Graph(("a", "b", "c"), (("a", "c"), ("c", "b"), ("a", "b")))
@@ -122,4 +146,5 @@ def test_every_split_runs_one_frontier_pass_per_side(monkeypatch):
     for name, run in runs.items():
         calls.clear()
         run()
-        assert calls == [k, h], name
+        # component_traces compiles each side in its own edge order.
+        assert calls == [sorted(k.edges), sorted(h.edges)], name

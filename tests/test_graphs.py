@@ -134,6 +134,21 @@ def test_connectivity_conventions():
     assert qr_operator(loop_only).tolist() == [0, 0]
 
 
+def test_one_kept_vertex_makes_the_trace_ids_the_flags():
+    # A partition of one vertex is unique, so at most one final state is
+    # live, and it is numbered 1: connectivity_flags reads the ids as flags.
+    rng = random.Random(17)
+    stranded = Graph(("a", "b", "c"), (("a", "b"), ("b", "a")))
+    graphs = [Graph((), ()), Graph(("a",), ()), Graph(("a",), (("a", "a"),)), stranded, triangle()]
+    graphs += [random_graph(rng, 6, 9) for _ in range(60)]
+    for g in graphs:
+        ids, finals = component_traces(g, g.vertices[:1])
+        assert set(ids.tolist()) <= {0, 1}
+        assert sum(f is not None for f in finals[1:]) <= 1
+        assert qr_operator(g).tolist() == ids.tolist()
+    assert qr_operator(stranded).tolist() == [0] * 4
+
+
 def test_component_trace_island_example():
     g = Graph(("a", "b", "c"), (("a", "b"),))
     # c is stranded: no partition of u can ever absorb it.

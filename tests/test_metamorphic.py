@@ -20,6 +20,7 @@ from qrelnet import (
     Partition,
     enumerate_partitions,
     o_gamma_operator,
+    qr_operator,
     reliability_enumerate,
     reliability_factorize,
     split_operator,
@@ -112,6 +113,22 @@ def test_permuting_the_edges_leaves_the_exact_value(route):
         rng.shuffle(order)
         permuted = Graph(g.vertices, tuple(g.edges[i] for i in order))
         assert route(permuted, [probs[i] for i in order]) == route(g, probs)
+
+
+def test_permuting_the_edges_permutes_the_bits_of_every_diagonal():
+    # Listed as ``order``, edge j of the new graph is edge order[j] of the
+    # old one, so bit j of each new state is bit order[j] of an old state.
+    for rng, g, _ in _graphs(22, 80):
+        order = list(range(g.num_edges))
+        rng.shuffle(order)
+        permuted = Graph(g.vertices, tuple(g.edges[i] for i in order))
+        old_states = [sum((t >> j & 1) << i for j, i in enumerate(order)) for t in range(g.num_states)]
+        u = [v for v in g.vertices if rng.random() < 0.5] or list(g.vertices[:1])
+        pairs = [(qr_operator(permuted), qr_operator(g))]
+        pairs += [(o_gamma_operator(permuted, u, gamma), o_gamma_operator(g, u, gamma))
+                  for gamma in enumerate_partitions(u)]
+        for new, old in pairs:
+            assert new.tolist() == old[old_states].tolist()
 
 
 @ROUTES

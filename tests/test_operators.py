@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,7 @@ from qrelnet import (
     union_graph,
     verify_split,
 )
-from qrelnet.graphs import component_traces
+from qrelnet.graphs import component_traces, trace_lists
 from qrelnet.operators import _quotient_rows, _split_table, _split_weights
 from qrelnet.partitions import ConnectivityMatrix
 from helpers import (
@@ -395,9 +396,11 @@ def test_verify_split_catches_one_wrong_entry_that_few_states_reach(monkeypatch,
     # Change the contraction at the one reachable pair of final states
     # (a, b) that the fewest edge states reach: the product walk must still
     # land on it.  A whole denominator keeps split_operator's entries integers.
+    # The final states are numbered as verify_split numbers them: by the
+    # compile in the given edge order, which trace_lists runs.
     k, h, shared = random_split(random.Random(300 + num_edges), num_shared, 2, num_edges,
                                 min_total_edges=num_edges)
-    k_ids, h_ids = (component_traces(g, shared)[0] for g in (k, h))
+    k_ids, h_ids = (trace_lists(g, shared)[0] for g in (k, h))
     hits = np.outer(np.bincount(k_ids), np.bincount(h_ids))
     a, b = min(zip(*np.nonzero(hits)), key=lambda ab: hits[ab])
     assert 16 * hits[a, b] <= hits.sum()
@@ -412,6 +415,21 @@ def test_verify_split_catches_one_wrong_entry_that_few_states_reach(monkeypatch,
     monkeypatch.setattr(qrelnet.operators, "_split_table", one_wrong)
     assert verify_split(k, h, shared) is False
     assert not np.array_equal(split_operator(k, h, shared), qr_operator(union_graph(k, h, shared)))
+
+
+def test_split_operator_peaks_near_its_result():
+    # The small table of final-state pairs is divided before the gather, so
+    # the one array of 2^|E| entries built is the int64 result itself.
+    for seed in (310, 312):
+        k, h, shared = random_split(random.Random(seed), 2, 2, 20, min_total_edges=20)
+        tracemalloc.start()
+        try:
+            op = split_operator(k, h, shared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.shape == (1 << 20,) and op.dtype == np.int64
+        assert peak < 2 * op.nbytes
 
 
 def _bad_cuts(num_edges):
