@@ -77,35 +77,57 @@ def reliability_enumerate(g: Graph, probs):
     Sums the weights of the connected edge states as :func:`enumerate_flags`
     does, to the same bits.  While the states fit one chunk (``|E| <=
     CHUNK_BITS``) they are Python lists: the final states of
-    :func:`~qrelnet.graphs.trace_lists` and a weight each, doubled once per
-    edge, so no numpy loads; past that the lists would cost several times
-    the time and memory of the arrays.
+    :func:`~qrelnet.graphs.trace_lists`, weighed by :func:`weigh_rows`, so
+    no numpy loads; past that the lists would cost several times the time
+    and memory of the arrays.
     """
     probs = _validate_probabilities(g, probs)
     if g.num_edges > CHUNK_BITS:
         return enumerate_flags(connectivity_flags(g), probs)
     ids, finals = trace_lists(g, g.vertices[:1])
+    return weigh_rows([[f is not None for f in finals]], ids, probs)[0]
+
+
+def weigh_rows(rows, ids, probs) -> list:
+    """Total Bernoulli weight, per row, of the edge states ``s`` with ``row[ids[s]]`` true.
+
+    ``ids`` is a Python list with one entry per state of ``len(probs)``
+    edges, edge ``k`` on bit ``k``, and ``probs`` are already checked.  The
+    weights are a Python list, doubled once per edge, each the product of
+    its edges' :func:`_factors` in edge order, and each row's are added in
+    state order by :func:`sum_in_order`, so every value has the bits of
+    :func:`enumerate_flags` on the same flags.  Exact when every
+    probability is an ``int`` or ``Fraction``, float otherwise.
+    """
     factors, denominator = _factors(probs)
     weights = [1.0 if denominator is None else 1]
     for absent, present in factors:
         weights = [w * absent for w in weights] + [w * present for w in weights]
-    connected = [f is not None for f in finals]
-    kept = compress(weights, map(connected.__getitem__, ids))
+    kept = [compress(weights, map(row.__getitem__, ids)) for row in rows]
     if denominator is None:
-        # Not ``sum``, which compensates its float additions since Python 3.12.
-        return reduce(operator.add, kept, 0.0)
-    return Fraction(sum(kept), denominator)
+        return list(map(sum_in_order, kept))
+    return [Fraction(sum(k), denominator) for k in kept]
 
 
 def sum_in_order(values, start: float = 0.0) -> float:
     """``start`` plus a sequence of floats, added strictly left to right.
 
-    A prefix sum never reorders, unlike ``np.dot``, ``np.sum`` or ``sum``, so
-    the result has the plain loop's bits on any machine and thread count.
+    A Python list or iterator is folded with ``operator.add`` (not ``sum``,
+    which compensates its float additions since Python 3.12), with no numpy.
+    A numpy array is prefix-summed by ``np.add.accumulate`` in chunks of
+    ``2 ** CHUNK_BITS``, carrying the running total, so no copy of the whole
+    array is made.  Neither reorders, unlike ``np.dot``, ``np.sum`` or
+    ``sum``, so the result has the plain loop's bits on any machine and
+    thread count, and the two routes give the same bits.
     """
+    if not hasattr(values, "dtype"):
+        return reduce(operator.add, values, start)
     import numpy as np
 
-    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+    step = 1 << CHUNK_BITS
+    for i in range(0, values.size, step):
+        start = float(np.add.accumulate(np.concatenate(([start], values[i : i + step])))[-1])
+    return start
 
 
 def enumerate_flags(flags: np.ndarray, probs):

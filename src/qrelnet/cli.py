@@ -103,12 +103,12 @@ def _cmd_reliability(args) -> dict:
 
 
 def _cmd_qr(args) -> dict:
-    from .operators import qr_operator, qr_value
+    from .operators import quantum_reliability
 
     g = parse_graph(_load_json(args.graph))
     _check_cap(g)
     psi = parse_state(_load_json(args.state), g)
-    return {"value": qr_value(qr_operator(g), psi)}
+    return {"value": quantum_reliability(g, psi)}
 
 
 def _cmd_split_verify(args) -> dict:

@@ -9,15 +9,15 @@ vertices, or a single vertex, counts as connected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CapacityError, QrelnetError, WidthMismatchError
+from .errors import CapacityError, QrelnetError, Record, WidthMismatchError
 from .partitions import Partition, partition_of
 
 # numpy loads only in the functions that build ``2 ** |E|`` arrays, so the
-# one frontier compile, ``frontier_lists``, serves ``reliability`` (factor,
-# and enum while its states fit one chunk) and ``split-verify`` without it.
+# one frontier compile, ``frontier_lists``, serves ``split-verify``,
+# ``reliability --method factor``, and enum, ``qr``, ``hybrid`` and
+# ``sublayer`` while their states fit one chunk, without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -25,24 +25,23 @@ if TYPE_CHECKING:
 MAX_EDGES = 24
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Multigraph with named vertices and an ordered edge list."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((a, b) for a, b in self.edges))
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]):
+        vertices = tuple(vertices)
+        edges = tuple((a, b) for a, b in edges)
+        if len(set(vertices)) != len(vertices):
             raise QrelnetError("duplicate vertex names", code="invalid_graph")
-        if len(self.edges) > MAX_EDGES:
-            raise CapacityError(f"graph has {len(self.edges)} edges, cap is {MAX_EDGES}")
-        known = set(self.vertices)
-        for a, b in self.edges:
+        if len(edges) > MAX_EDGES:
+            raise CapacityError(f"graph has {len(edges)} edges, cap is {MAX_EDGES}")
+        known = set(vertices)
+        for a, b in edges:
             if a not in known or b not in known:
                 raise QrelnetError(f"edge ({a!r}, {b!r}) references an unknown vertex", code="invalid_graph")
+        self._set(vertices=vertices, edges=edges)
 
     @property
     def num_edges(self) -> int:

@@ -12,40 +12,41 @@ baseline plus correction terms, one per pair of non-trivial partitions.
 from __future__ import annotations
 
 from fractions import Fraction
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import check_probabilities, enumerate_flags, reliability_enumerate, sum_in_order
-from .errors import QrelnetError, SublayerError, WidthMismatchError
+from .classical import check_probabilities, enumerate_flags, reliability_enumerate, sum_in_order, weigh_rows
+from .errors import QrelnetError, Record, SublayerError, WidthMismatchError
 from .graphs import Graph
-from .operators import qr_operator, qr_value, quotient_values, split_sides, split_sum, split_terms, union_graph
+from .operators import quantum_reliability, quotient_values, split_sides, split_sum, split_terms, union_graph
 from .partitions import Partition, single_block, singletons
-from .states import StateVector
+
+# The CLI's tagged-graph parser imports this module, so the state module,
+# and with it any numpy, loads only where a state is built.
+if TYPE_CHECKING:
+    from .states import StateVector
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Quantum subgraph, classical subgraph, and their shared vertices."""
 
-    quantum: Graph
-    classical: Graph
-    shared: tuple[str, ...]
-    quantum_edge_indices: tuple[int, ...]
-    classical_edge_indices: tuple[int, ...]
+    _fields = ("quantum", "classical", "shared", "quantum_edge_indices", "classical_edge_indices")
+
+    def __init__(self, quantum: Graph, classical: Graph, shared: tuple[str, ...],
+                 quantum_edge_indices: tuple[int, ...], classical_edge_indices: tuple[int, ...]):
+        self._set(quantum=quantum, classical=classical, shared=shared,
+                  quantum_edge_indices=quantum_edge_indices, classical_edge_indices=classical_edge_indices)
 
 
-@dataclass(frozen=True)
-class HybridState:
+class HybridState(Record):
     """Quantum amplitudes for the quantum edges, probabilities for the rest."""
 
-    quantum: StateVector
-    classical: tuple
+    _fields = ("quantum", "classical")
 
-    def __post_init__(self):
-        object.__setattr__(self, "classical", tuple(check_probabilities(self.classical)))
+    def __init__(self, quantum: StateVector, classical: tuple):
+        self._set(quantum=quantum, classical=tuple(check_probabilities(classical)))
 
 
 def canonical_decomposition(g: Graph, kinds) -> Decomposition:
@@ -89,9 +90,12 @@ def _check_inputs(decomp: Decomposition, state: HybridState) -> None:
 
 def _quotient_reliabilities(decomp: Decomposition, state: HybridState):
     """The weights and the quantum and classical reliability of every quotient."""
-    cm, k_side, (table, ids) = split_sides(decomp.quantum, decomp.classical, decomp.shared)
-    rh = [float(enumerate_flags(row[ids], state.classical)) for row in table]
-    return cm, quotient_values(k_side, state.quantum), rh
+    cm, k_side, (rows, ids) = split_sides(decomp.quantum, decomp.classical, decomp.shared)
+    if isinstance(ids, list):
+        rh = weigh_rows(rows, ids, state.classical)
+    else:
+        rh = [enumerate_flags(row[ids], state.classical) for row in rows]
+    return cm, quotient_values(k_side, state.quantum), list(map(float, rh))
 
 
 def hybrid_qr(decomp: Decomposition, state: HybridState) -> float:
@@ -106,7 +110,7 @@ def hybrid_qr(decomp: Decomposition, state: HybridState) -> float:
     if not k.vertices:
         return float(reliability_enumerate(h, list(state.classical)))
     if not h.vertices:
-        return qr_value(qr_operator(k), state.quantum)
+        return quantum_reliability(k, state.quantum)
     if not shared:
         return 0.0
     return split_sum(*_quotient_reliabilities(decomp, state))

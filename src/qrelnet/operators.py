@@ -10,16 +10,18 @@ weights are the inverse connectivity matrix of the shared vertex set.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import sum_in_order
+from .classical import CHUNK_BITS, sum_in_order
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
-from .graphs import Graph, component_traces, connectivity_flags, frontier_lists
+from .graphs import Graph, component_traces, connectivity_flags, frontier_lists, trace_lists
 from .partitions import ConnectivityMatrix, Partition, connectivity_matrix, contract
 
 # numpy and the state module load in the functions that build arrays, so
-# ``split-verify`` runs without them.
+# ``split-verify``, and ``qr``, ``hybrid`` and ``sublayer`` on states of at
+# most ``CHUNK_BITS`` edges, run without them.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -45,9 +47,26 @@ def qr_value(op, psi: StateVector) -> float:
     import numpy as np
 
     op = np.asarray(op)
-    if op.shape != psi.amplitudes.shape:
-        raise WidthMismatchError(f"operator has shape {op.shape}, state has {psi.amplitudes.shape}")
+    size = (1 << psi.num_edges,)
+    if op.shape != size:
+        raise WidthMismatchError(f"operator has shape {op.shape}, state has {size}")
     return sum_in_order(op.astype(float) * psi.probabilities())
+
+
+def quantum_reliability(g: Graph, psi: StateVector) -> float:
+    """``qr_value(qr_operator(g), psi)``, to the same bits.
+
+    On a state held in lists (at most ``CHUNK_BITS`` edges) the connectivity
+    flags are the trace ids of :func:`~qrelnet.graphs.trace_lists` with one
+    kept vertex, and the flagged Born weights are added in state order with
+    no numpy.
+    """
+    if psi.num_edges != g.num_edges:
+        raise WidthMismatchError(f"state spans {psi.num_edges} edges, graph has {g.num_edges}")
+    if psi.weights is None:
+        return qr_value(qr_operator(g), psi)
+    flags, _ = trace_lists(g, g.vertices[:1])
+    return sum_in_order(compress(psi.weights, flags))
 
 
 def o_gamma_operator(h: Graph, u, gamma: Partition) -> np.ndarray:
@@ -119,16 +138,38 @@ def _split_weights(k: Graph, h: Graph, shared) -> tuple[Graph, ConnectivityMatri
     return union, connectivity_matrix(shared)
 
 
+def quotient_side(g: Graph, shared, cm: ConnectivityMatrix):
+    """``(rows, ids)`` of every quotient ``g / cm.order[i]``: ``rows[i][ids[s]]`` flags state ``s``.
+
+    While the states fit one chunk (``|E| <= CHUNK_BITS``) both are Python
+    lists, from :func:`~qrelnet.graphs.trace_lists` and the alpha rows of
+    its final traces, with no numpy; past that they are the arrays of
+    :func:`quotient_table`.
+    """
+    if g.num_edges > CHUNK_BITS:
+        return quotient_table(g, shared, cm)
+    ids, finals = trace_lists(g, shared)
+    return _quotient_rows(cm, finals), ids
+
+
 def split_sides(k: Graph, h: Graph, shared):
-    """Check the cut; return ``(cm, (k_table, k_ids), (h_table, h_ids))``, one frontier pass per side."""
+    """Check the cut; return ``(cm, k_side, h_side)``, one :func:`quotient_side` each."""
     _, cm = _split_weights(k, h, shared)
-    return cm, quotient_table(k, shared, cm), quotient_table(h, shared, cm)
+    return cm, quotient_side(k, shared, cm), quotient_side(h, shared, cm)
 
 
 def quotient_values(side, psi: StateVector) -> list[float]:
-    """``qr_value`` on ``psi`` of every quotient in a ``(table, ids)`` side, a row at a time."""
-    table, ids = side
-    return [qr_value(row[ids], psi) for row in table]
+    """``qr_value`` on ``psi`` of every quotient in a ``(rows, ids)`` side, to the same bits.
+
+    Each row's flagged Born weights are added in state order: on a list side
+    from ``psi.weights``, with no numpy; on an array side from one
+    ``psi.probabilities()`` for all the rows.
+    """
+    rows, ids = side
+    if isinstance(ids, list):
+        return [sum_in_order(compress(psi.weights, map(row.__getitem__, ids))) for row in rows]
+    weights = psi.probabilities()
+    return [sum_in_order(row[ids] * weights) for row in rows]
 
 
 def split_terms(cm: ConnectivityMatrix, left, right) -> list[tuple[int, int, int, float]]:

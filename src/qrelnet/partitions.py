@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import factorial
 from operator import and_, mul, or_
 
-from .errors import CapacityError, QrelnetError
+from .errors import CapacityError, QrelnetError, Record
 
 # Bell(8) = 4140 partitions: enumeration stays desk-scale.
 MAX_GROUND_SET = 8
@@ -41,20 +40,19 @@ MAX_MATRIX_GROUND_SET = 7
 _INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Set partition of a finite set of vertex names, in canonical form.
 
     The constructor canonicalizes: blocks are sorted internally and then by
     their smallest element.  Blocks must be non-empty and pairwise disjoint.
     """
 
-    blocks: tuple[tuple[str, ...], ...]
+    _fields = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[tuple[str, ...], ...]):
         canon = []
         seen = set()
-        for block in self.blocks:
+        for block in blocks:
             members = sorted(block)
             if not members:
                 raise QrelnetError("partition blocks must be non-empty", code="invalid_partition")
@@ -64,7 +62,7 @@ class Partition:
                 seen.add(v)
             canon.append(tuple(members))
         canon.sort(key=lambda b: b[0])
-        object.__setattr__(self, "blocks", tuple(canon))
+        self._set(blocks=tuple(canon))
 
     def ground_set(self) -> frozenset[str]:
         return frozenset(v for block in self.blocks for v in block)
@@ -128,19 +126,21 @@ def _labels(p: Partition, index: dict[str, int]) -> list[int]:
     return lab
 
 
-@dataclass(frozen=True)
-class ConnectivityMatrix:
+class ConnectivityMatrix(Record):
     """Partition order, the 0/1 connectivity matrix alpha, and its inverse.
 
     ``alpha`` is a tuple of rows, each a tuple of ``int``.  The inverse beta
     is kept as ``scaled``, beta times ``denominator``, in the same form; the
-    ``beta`` property builds its exact ``Fraction`` rows on demand.
+    ``beta`` property builds its exact ``Fraction`` rows on demand.  Two
+    matrices are equal when their orders and denominators are, and ``repr``
+    shows only those.
     """
 
-    order: tuple[Partition, ...]
-    alpha: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    scaled: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    denominator: int
+    _fields = ("order", "denominator")
+
+    def __init__(self, order: tuple[Partition, ...], alpha: tuple[tuple[int, ...], ...],
+                 scaled: tuple[tuple[int, ...], ...], denominator: int):
+        self._set(order=order, alpha=alpha, scaled=scaled, denominator=denominator)
 
     @property
     def beta(self) -> tuple[tuple[Fraction, ...], ...]:

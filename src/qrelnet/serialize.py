@@ -18,11 +18,9 @@ from typing import TYPE_CHECKING
 
 from .errors import CapacityError, QrelnetError, WidthMismatchError
 
-# The parsers import the modules of the objects they build, and numpy only
-# where they need it, so writing output loads none of them.
+# The parsers import the modules of the objects they build, so writing
+# output loads none of them.
 if TYPE_CHECKING:
-    import numpy as np
-
     from .graphs import Graph
     from .hybrid import Decomposition, HybridState
     from .partitions import Partition
@@ -144,25 +142,26 @@ def _parse_complex(obj) -> complex:
         raise QrelnetError("complex part too large for a float", code="invalid_state") from None
 
 
-def _parse_amplitudes(values: list) -> np.ndarray:
-    """``[re, im]`` pairs as one complex128 array.
+def _amplitude_parts(values: list) -> list[float]:
+    """``[re, im]`` pairs as one flat list of floats: ``re`` then ``im``, entry by entry.
 
     Three scans check that every entry is a list, of length two, of exact
-    ``int``s and ``float``s (no bools); one float64 conversion of the
-    flattened parts then has the bits of ``complex(re, im)``, signed zeros
-    included.  Anything else, or a part too large for a float, goes through
-    the per-entry decoder for its error.
+    ``int``s and ``float``s (no bools); the ``int``s are then converted by
+    ``float``, so every part has the bits of ``complex(re, im)``, signed
+    zeros included.  Anything else, or a part too large for a float, goes
+    through the per-entry decoder for its error.
     """
-    import numpy as np
-
     if set(map(type, values)) == {list} and set(map(len, values)) == {2}:
         parts = list(chain.from_iterable(values))
-        if set(map(type, parts)) <= {int, float}:
+        kinds = set(map(type, parts))
+        if kinds == {float}:
+            return parts
+        if kinds <= {int, float}:
             try:
-                return np.array(parts, dtype=np.float64).view(np.complex128)
+                return list(map(float, parts))
             except OverflowError:
                 pass
-    return np.array([_parse_complex(v) for v in values], dtype=np.complex128)
+    return [x for z in map(_parse_complex, values) for x in (z.real, z.imag)]
 
 
 def _parse_probability(x) -> float:
@@ -184,7 +183,7 @@ def parse_state(obj, g: Graph) -> StateVector:
     one entry per basis state.  ``phase`` defaults to ``[1, 0]``.
     """
     from .graphs import edge_state_from_text
-    from .states import QubitSpec, StateVector, product_state, two_term_state
+    from .states import QubitSpec, product_state, state_of_parts, two_term_state
 
     num_edges = g.num_edges
     _require(isinstance(obj, dict) and "type" in obj, "state must be an object with a 'type'", "invalid_state")
@@ -221,7 +220,7 @@ def parse_state(obj, g: Graph) -> StateVector:
         _require(isinstance(values, list), "amplitudes state needs a 'values' list", "invalid_state")
         if len(values) != 1 << num_edges:
             raise WidthMismatchError(f"{len(values)} amplitudes for {num_edges} edges")
-        return StateVector(num_edges, _parse_amplitudes(values))
+        return state_of_parts(num_edges, _amplitude_parts(values))
     raise QrelnetError(f"unknown state type {kind!r}", code="invalid_state")
 
 

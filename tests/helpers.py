@@ -11,14 +11,17 @@ instead of packed-int sums for the split contraction, both split operators
 over every edge state instead of the reachable product states of three
 frontier automata for the split check, a per-state dict walk instead of
 label arrays for the frontier compile, a per-entry decoder instead
-of one array conversion for amplitudes, a tree walk that emits text pieces
-instead of one string per value for canonical JSON) so agreement is evidence,
-not tautology.  ``random_state`` builds test states; no library path uses it.
+of one flat conversion for amplitudes, a tree walk that emits text pieces
+instead of one string per value for canonical JSON, a per-state product of
+qubit factors instead of Kronecker products of lists or arrays) so agreement
+is evidence, not tautology.  ``random_state`` builds test states; no library
+path uses it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
 from collections import deque
@@ -434,13 +437,43 @@ def split_lists(cm, k: Graph, h: Graph, shared, union: Graph) -> tuple[list, lis
 
 
 def random_state(num_edges: int, seed: int) -> StateVector:
-    """Haar-ish random state: i.i.d. complex Gaussian amplitudes, normalized."""
+    """Haar-ish random state: i.i.d. complex Gaussian amplitudes, normalized in real arithmetic."""
     if not 0 <= num_edges <= MAX_EDGES:
         raise CapacityError(f"states support 0..{MAX_EDGES} edges, got {num_edges}")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(1 << num_edges) + 1j * rng.standard_normal(1 << num_edges)
-    v /= np.sqrt(prefix_sum(np.abs(v) ** 2))
+    re = rng.standard_normal(1 << num_edges)
+    im = rng.standard_normal(1 << num_edges)
+    norm = np.sqrt(prefix_sum(re * re + im * im))
+    v = np.empty(1 << num_edges, dtype=np.complex128)
+    v.real, v.imag = re / norm, im / norm
     return StateVector(num_edges, v)
+
+
+def product_amplitudes_oracle(specs) -> list[tuple[float, float]]:
+    """``(re, im)`` of every amplitude of ``product_state(specs)``, one state at a time.
+
+    Multiplies the qubit factors of the state's bits in edge order, each
+    factor on the left, as ``(ac - bd, ad + bc)`` in Python floats, one
+    rounding per operation; the inactive factor is ``(sqrt(1 - p), 0)``
+    times the phase in the same way.
+    """
+    out = []
+    for state in range(1 << len(specs)):
+        re, im = 1.0, 0.0
+        for k, spec in enumerate(specs):
+            if state >> k & 1:
+                fr, fi = math.sqrt(spec.p), 0.0
+            else:
+                r, z = math.sqrt(1.0 - spec.p), complex(spec.phase)
+                fr, fi = r * z.real - 0.0 * z.imag, r * z.imag + 0.0 * z.real
+            re, im = fr * re - fi * im, fr * im + fi * re
+        out.append((re, im))
+    return out
+
+
+def born_oracle(amplitudes) -> list[float]:
+    """``re * re + im * im`` of every amplitude, in Python floats."""
+    return [a.real * a.real + a.imag * a.imag for a in map(complex, amplitudes)]
 
 
 def frontier_tables_oracle(g: Graph, u):

@@ -159,14 +159,17 @@ def test_reliability_stdout_bytes_are_golden(tmp_path, case):
     assert out == '{"schema":"qrelnet/1","value":%s}\n' % RELIABILITY_GOLDEN[case]
 
 
-# Fixtures for the float subcommands.  Amplitudes are real or imaginary
-# (phases in {1, i, -1, -i}), so every |amplitude| is exact and the printed
-# bits follow from the program's own order of operations on any machine.
+# Fixtures for the float subcommands.  Most amplitudes are real or imaginary
+# (phases in {1, i, -1, -i}), so every |amplitude| is exact.  Under the
+# general phases every complex product and |amplitude|^2 rounds; the bits
+# still follow from the program's own order of separately rounded real
+# operations, on any machine.
 PHASES = ([1, 0], [0, 1], [-1, 0], [0, -1])
+GENERAL_PHASES = ([0.6, 0.8], [-0.28, 0.96], [0.8, -0.6], [-0.96, -0.28])
 
 
-def _product(probs):
-    return {"type": "product", "qubits": [{"p": p, "phase": PHASES[i % 4]} for i, p in enumerate(probs)]}
+def _product(probs, phases=PHASES):
+    return {"type": "product", "qubits": [{"p": p, "phase": phases[i % 4]} for i, p in enumerate(probs)]}
 
 
 def _tagged(quantum, classical):
@@ -191,12 +194,16 @@ SUBLAYER_STATE = {"quantum": _product([0.7, 0.4, 0.55]), "classical": [0.9, 0.35
 # name -> (subcommand, {flag: JSON written to a file}, further arguments)
 FLOAT_INPUTS = {
     "qr_grid3x4_product": ("qr", {"graph": GRID34, "state": GRID34_STATE}, []),
+    "qr_grid3x4_general_phases": ("qr", {"graph": GRID34, "state": _product(
+        [q["p"] for q in GRID34_STATE["qubits"]], GENERAL_PHASES)}, []),
     "qr_multi_two_term": ("qr", {"graph": MULTI, "state": {
         "type": "two_term", "zeta": "1110110", "chi": "0101011", "p": 0.3, "phase": [0, -1]}}, []),
     "qr_triangle_amplitudes": ("qr", {"graph": TRIANGLE, "state": {"type": "amplitudes", "values": [
         [0.2, 0], [-0.4, 0], [0.5, 0], [0.1, 0], [0, -0.3], [0.6, 0], [0, 0.3], [0, 0]]}}, []),
     "sample_grid3x4_product": ("sample", {"graph": GRID34, "state": GRID34_STATE}, ["-n", "5000", "--seed", "11"]),
     "hybrid_sublayer": ("hybrid", {"graph": SUBLAYER, "state": SUBLAYER_STATE}, []),
+    "hybrid_sublayer_general_phases": ("hybrid", {"graph": SUBLAYER, "state": {
+        "quantum": _product([0.7, 0.4, 0.55], GENERAL_PHASES), "classical": SUBLAYER_STATE["classical"]}}, []),
     "hybrid_pendant": ("hybrid", {"graph": PENDANT, "state": {
         "quantum": _product([0.8, 0.3, 0.65]), "classical": [0.9, 0.35, 0.8, 0.6]}}, []),
     "sublayer": ("sublayer", {"graph": SUBLAYER, "state": SUBLAYER_STATE}, []),
@@ -207,6 +214,8 @@ FLOAT_INPUTS = {
 FLOAT_GOLDEN = {
     "hybrid_pendant": '{"schema":"qrelnet/1","value":0.48000420000000033}\n',
     "hybrid_sublayer": '{"schema":"qrelnet/1","value":0.88862294000000008}\n',
+    "hybrid_sublayer_general_phases": '{"schema":"qrelnet/1","value":0.88862294000000053}\n',
+    "qr_grid3x4_general_phases": '{"schema":"qrelnet/1","value":0.70427782638951519}\n',
     "qr_grid3x4_product": '{"schema":"qrelnet/1","value":0.7042778263895153}\n',
     "qr_multi_two_term": '{"schema":"qrelnet/1","value":0.29999999999999993}\n',
     "qr_triangle_amplitudes": '{"schema":"qrelnet/1","value":0.45999999999999996}\n',
@@ -428,7 +437,7 @@ def test_huge_json_integers_are_input_errors(tmp_path):
 def test_unserializable_payload_is_a_json_error(tmp_path, monkeypatch):
     g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
     s = write_json(tmp_path, "s.json", {"type": "product", "qubits": [{"p": 0.5}]})
-    monkeypatch.setattr("qrelnet.operators.qr_value", lambda op, psi: math.inf)
+    monkeypatch.setattr("qrelnet.operators.quantum_reliability", lambda g, psi: math.inf)
     _assert_rejected(run_cli("qr", "--graph", g, "--state", s), "invalid_input")
 
 
@@ -497,7 +506,7 @@ def test_recursion_outside_the_input_stays_internal(tmp_path, monkeypatch):
     def runaway(*args):
         raise RecursionError
 
-    monkeypatch.setattr("qrelnet.operators.qr_value", runaway)
+    monkeypatch.setattr("qrelnet.operators.quantum_reliability", runaway)
     code, out, err = run_cli("qr", "--graph", g, "--state", s)
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == {"code": "internal", "message": "recursion limit hit"}

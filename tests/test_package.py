@@ -59,3 +59,72 @@ def test_submodules_still_import_through_the_package():
 
     assert classical is importlib.import_module("qrelnet.classical")
     assert classical.reliability_enumerate is qrelnet.reliability_enumerate
+
+
+def _records():
+    """(build, another, repr of build()) for every immutable record type but ``StateVector``."""
+    from fractions import Fraction
+
+    from qrelnet import (CLASSICAL, QUANTUM, Graph, HybridState, Partition, QubitSpec, StateVector,
+                         canonical_decomposition, connectivity_matrix)
+
+    psi = StateVector(1, [0.6, 0.8j])
+    path = Graph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    return [
+        (lambda: Graph(("a", "b"), [("a", "b")]), lambda: Graph(("a", "b"), [("b", "a")]),
+         "Graph(vertices=('a', 'b'), edges=(('a', 'b'),))"),
+        (lambda: Partition((("b", "a"), ("c",))), lambda: Partition((("a",), ("b", "c"))),
+         "Partition(blocks=(('a', 'b'), ('c',)))"),
+        (lambda: connectivity_matrix(["1", "2"]), lambda: connectivity_matrix(["2", "3"]),
+         "ConnectivityMatrix(order=(Partition(blocks=(('1', '2'),)), Partition(blocks=(('1',), ('2',)))), "
+         "denominator=1)"),
+        (lambda: QubitSpec(0.25, 1j), lambda: QubitSpec(0.25), "QubitSpec(p=0.25, phase=1j)"),
+        (lambda: canonical_decomposition(path, [QUANTUM, CLASSICAL]),
+         lambda: canonical_decomposition(path, [CLASSICAL, QUANTUM]),
+         "Decomposition(quantum=Graph(vertices=('a', 'b'), edges=(('a', 'b'),)), classical=Graph(vertices=('b', "
+         "'c'), edges=(('b', 'c'),)), shared=('b',), quantum_edge_indices=(0,), classical_edge_indices=(1,))"),
+        (lambda: HybridState(psi, [Fraction(1, 2)]), lambda: HybridState(psi, [Fraction(1, 3)]),
+         "HybridState(quantum=StateVector(num_edges=1, amplitudes=array([0.6+0.j , 0. +0.8j])), "
+         "classical=(Fraction(1, 2),))"),
+    ]
+
+
+@pytest.mark.parametrize("build, another, text", _records(), ids=[text.split("(")[0] for *_, text in _records()])
+def test_records_compare_hash_and_print_by_their_fields_and_stay_immutable(build, another, text):
+    a, b, c = build(), build(), another()
+    assert a == b and hash(a) == hash(b) and len({a, b, c}) == 2
+    assert a != c and not a == c
+    assert repr(a) == text
+    # Only the same type compares equal: not a tuple of the fields, not a subclass.
+    sub = type("Sub", (type(a),), {})
+    copy = sub.__new__(sub)
+    vars(copy).update(vars(a))
+    assert a != tuple(vars(a).values()) and a != copy
+    name = next(iter(vars(a)))
+    with pytest.raises(AttributeError):
+        setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+def test_a_connectivity_matrix_compares_its_order_and_denominator_only():
+    from qrelnet import ConnectivityMatrix, connectivity_matrix
+
+    cm = connectivity_matrix(["1", "2", "3"])
+    other = ConnectivityMatrix(cm.order, cm.scaled, cm.alpha, cm.denominator)
+    assert other == cm and hash(other) == hash(cm) and repr(other) == repr(cm)
+    assert cm.order and cm.beta  # the reads of the benchmark's tracer
+
+
+def test_a_state_vector_compares_by_identity():
+    from qrelnet import StateVector
+
+    a, b = StateVector(1, [1.0, 0.0]), StateVector(1, [1.0, 0.0])
+    assert a == a and a != b and len({a, b}) == 2
+    assert repr(a) == "StateVector(num_edges=1, amplitudes=array([1.+0.j, 0.+0.j]))"
+    for name in ("num_edges", "amplitudes", "weights"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)

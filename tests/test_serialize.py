@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qrelnet import Graph, QrelnetError, WidthMismatchError, canonical_decomposition
 from qrelnet.serialize import (
-    _parse_amplitudes,
+    _amplitude_parts,
     dumps_canonical,
     parse_graph,
     parse_hybrid_state,
@@ -208,6 +208,11 @@ def test_parse_probability_list():
         parse_probability_list("x", exact=False)
     with pytest.raises(QrelnetError):
         parse_probability_list("1/0", exact=True)
+
+
+def _parse_amplitudes(values):
+    """The parser's flat parts as a float64 array: the layout of the oracle's complex128 entries."""
+    return np.array(_amplitude_parts(values), dtype=np.float64)
 
 
 def _decoded(decode, values):

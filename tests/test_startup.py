@@ -3,8 +3,10 @@
 ``import qrelnet`` loads nothing; the CLI pins OpenBLAS to one thread unless
 the user chose a count, each subcommand loads only the modules it runs,
 and no output byte depends on the BLAS thread count.  Without numpy run
-``reliability`` by factoring or by enumerating at most 16 edges, and
-``matrix`` and ``split-verify`` at every size.
+``reliability`` by factoring, ``matrix`` and ``split-verify`` at every
+size, and ``reliability`` by enumeration, ``qr``, ``hybrid`` and
+``sublayer`` while every side has at most 16 edges.  No subcommand imports
+``dataclasses``.
 """
 
 import json
@@ -120,6 +122,74 @@ def test_split_verify_loads_no_numpy(tmp_path, num_shared, num_edges):
     assert not loaded_after(argv) & {"states", "hybrid"}
 
 
+def _ring_graph(num_edges: int) -> dict:
+    names = [f"v{i}" for i in range(max(num_edges, 2))]
+    return {"vertices": names, "edges": [[v, names[i - 1]] for i, v in enumerate(names[:num_edges])]}
+
+
+@pytest.mark.parametrize("form, num_edges, loads_numpy",
+                         [("product", 3, False), ("product", 16, False), ("two_term", 16, False),
+                          ("amplitudes", 16, False), ("product", 17, True), ("amplitudes", 17, True)])
+def test_qr_loads_numpy_only_past_16_edges(tmp_path, form, num_edges, loads_numpy):
+    states = {
+        "product": {"type": "product", "qubits": [{"p": 0.5, "phase": [0.6, 0.8]}] * num_edges},
+        "two_term": {"type": "two_term", "zeta": "1" * num_edges, "chi": "0" * num_edges, "p": 0.5,
+                     "phase": [0.6, -0.8]},
+        "amplitudes": {"type": "amplitudes", "values": [[0.0, 0.0]] * ((1 << num_edges) - 1) + [[0.6, 0.8]]},
+    }
+    graph, state = tmp_path / "g.json", tmp_path / "s.json"
+    graph.write_text(json.dumps(_ring_graph(num_edges)))
+    state.write_text(json.dumps(states[form]))
+    argv = ["qr", "--graph", str(graph), "--state", str(state)]
+    assert numpy_loaded_after(argv) is loads_numpy
+    assert not loaded_after(argv) & {"hybrid"}
+
+
+def _write_sublayer(tmp_path, num_quantum: int, num_classical: int) -> tuple[str, str]:
+    """Quantum edges among three shared vertices, classical ones around them and one more vertex."""
+    shared = ["a", "b", "c"]
+    ring = shared + ["d"]
+    edges = [{"endpoints": [shared[i % 3], shared[(i + 1) % 3]], "kind": "quantum"} for i in range(num_quantum)]
+    edges += [{"endpoints": [ring[i % 4], ring[(i + 1) % 4]], "kind": "classical"} for i in range(num_classical)]
+    graph, state = tmp_path / "g.json", tmp_path / "s.json"
+    graph.write_text(json.dumps({"vertices": ring, "edges": edges}))
+    state.write_text(json.dumps({
+        "quantum": {"type": "product", "qubits": [{"p": 0.5, "phase": [0.6, 0.8]}] * num_quantum},
+        "classical": [0.5] * num_classical,
+    }))
+    return str(graph), str(state)
+
+
+@pytest.mark.parametrize("command", ["hybrid", "sublayer"])
+@pytest.mark.parametrize("num_quantum, num_classical, loads_numpy",
+                         [(4, 12, False), (16, 8, False), (4, 16, False), (17, 4, True), (4, 17, True)])
+def test_hybrid_and_sublayer_load_numpy_only_for_a_side_past_16_edges(tmp_path, command, num_quantum,
+                                                                       num_classical, loads_numpy):
+    graph, state = _write_sublayer(tmp_path, num_quantum, num_classical)
+    assert numpy_loaded_after([command, "--graph", graph, "--state", state]) is loads_numpy
+
+
+def test_no_subcommand_imports_dataclasses(tmp_path):
+    graph, state = _write_sublayer(tmp_path, 4, 12)
+    code = ("import sys\n"
+            "from qrelnet.cli import main\n"
+            "assert main(['matrix', '--m', '3']) == 0\n"
+            f"assert main(['sublayer', '--graph', {graph!r}, '--state', {state!r}]) == 0\n"
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    assert run_fresh(code) == "False False"
+
+
+def test_the_hybrid_module_and_the_tagged_graph_parser_load_no_numpy():
+    code = ("import sys, qrelnet.hybrid\n"
+            "print('numpy' in sys.modules, 'qrelnet.states' in sys.modules)")
+    assert run_fresh(code) == "False False"
+    code = ("import sys\n"
+            "from qrelnet.serialize import parse_tagged_graph\n"
+            "parse_tagged_graph({'vertices': ['a', 'b'], 'edges': [{'endpoints': ['a', 'b'], 'kind': 'quantum'}]})\n"
+            "print('numpy' in sys.modules, 'qrelnet.states' in sys.modules)")
+    assert run_fresh(code) == "False False"
+
+
 def test_the_graph_partition_and_classical_modules_import_no_numpy():
     code = "import sys, qrelnet.graphs, qrelnet.partitions, qrelnet.classical; print('numpy' in sys.modules)"
     assert run_fresh(code) == "False"
@@ -162,12 +232,13 @@ def _blas_name() -> str:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
 @pytest.mark.skipif("openblas" not in _blas_name(), reason="the pin is OpenBLAS's variable")
 def test_the_cli_process_runs_one_thread(tmp_path):
+    # ``sample`` draws with numpy's generator, so it loads numpy at every size.
     graph, state = tmp_path / "g.json", tmp_path / "s.json"
     graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
     state.write_text(json.dumps({"type": "product", "qubits": [{"p": 0.5}]}))
     code = ("import os, sys\n"
             "from qrelnet.cli import main\n"
-            f"assert main(['qr', '--graph', {str(graph)!r}, '--state', {str(state)!r}]) == 0\n"
+            f"assert main(['sample', '--graph', {str(graph)!r}, '--state', {str(state)!r}, '-n', '10']) == 0\n"
             "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))")
     assert run_fresh(code) == "True 1"
 
