@@ -6,8 +6,8 @@ enumeration of the connected edge states, and the deletion/contraction
 recursion run as a dynamic program over frontier states.  The factor
 route, and the enumeration while its ``2 ** |E|`` states fit one chunk,
 walk its Python-list tables in the given edge order, with no numpy; a
-larger enumeration takes the flags of
-:func:`~qrelnet.graphs.connectivity_flags`, compiled in a breadth-first
+larger enumeration takes the trace ids of
+:func:`~qrelnet.graphs.component_traces`, compiled in a breadth-first
 edge order, and weighs them in chunks.  numpy loads only in the functions
 that build arrays.  Both accept floats or exact rationals; with
 ``fractions.Fraction`` probabilities every intermediate stays exact.
@@ -23,13 +23,14 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from .errors import QrelnetError, WidthMismatchError
-from .graphs import Graph, connectivity_flags, frontier_lists, trace_lists
+from .graphs import Graph, frontier_lists, traces
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Edges whose factors are tabulated once; the states are then walked in
-# aligned chunks of 2 ** CHUNK_BITS, so memory stays flat as |E| grows.
+# An array of states is walked in aligned chunks of 2 ** CHUNK_BITS, so no
+# temporary grows with |E|; enumeration tabulates the factors of that many
+# edges once.
 CHUNK_BITS = 16
 
 
@@ -74,31 +75,28 @@ def _factors(probs) -> tuple[list[tuple], int | None]:
 def reliability_enumerate(g: Graph, probs):
     """Probability that the surviving edges connect all vertices, by enumeration.
 
-    Sums the weights of the connected edge states as :func:`enumerate_flags`
-    does, to the same bits.  While the states fit one chunk (``|E| <=
-    CHUNK_BITS``) they are Python lists: the final states of
-    :func:`~qrelnet.graphs.trace_lists`, weighed by :func:`weigh_rows`, so
-    no numpy loads; past that the lists would cost several times the time
-    and memory of the arrays.
+    Weighs, by :func:`weigh_rows`, the edge states whose trace on one kept
+    vertex, from :func:`~qrelnet.graphs.traces`, leaves no island.
     """
     probs = _validate_probabilities(g, probs)
-    if g.num_edges > CHUNK_BITS:
-        return enumerate_flags(connectivity_flags(g), probs)
-    ids, finals = trace_lists(g, g.vertices[:1])
+    ids, finals = traces(g, g.vertices[:1])
     return weigh_rows([[f is not None for f in finals]], ids, probs)[0]
 
 
 def weigh_rows(rows, ids, probs) -> list:
     """Total Bernoulli weight, per row, of the edge states ``s`` with ``row[ids[s]]`` true.
 
-    ``ids`` is a Python list with one entry per state of ``len(probs)``
-    edges, edge ``k`` on bit ``k``, and ``probs`` are already checked.  The
-    weights are a Python list, doubled once per edge, each the product of
-    its edges' :func:`_factors` in edge order, and each row's are added in
-    state order by :func:`sum_in_order`, so every value has the bits of
-    :func:`enumerate_flags` on the same flags.  Exact when every
-    probability is an ``int`` or ``Fraction``, float otherwise.
+    ``ids`` has one entry per state of ``len(probs)`` edges, edge ``k`` on
+    bit ``k``, each row one entry per final state, and ``probs`` are
+    already checked.  Array ``ids`` are weighed by :func:`enumerate_flags`
+    row by row.  For list ``ids`` the weights are a Python list, doubled
+    once per edge, each the product of its edges' :func:`_factors` in edge
+    order, and each row's are added in state order by :func:`sum_in_order`,
+    so both forms give the same bits.  Exact when every probability is an
+    ``int`` or ``Fraction``, float otherwise.
     """
+    if not isinstance(ids, list):
+        return [enumerate_flags(row, ids, probs) for row in rows]
     factors, denominator = _factors(probs)
     weights = [1.0 if denominator is None else 1]
     for absent, present in factors:
@@ -130,18 +128,22 @@ def sum_in_order(values, start: float = 0.0) -> float:
     return start
 
 
-def enumerate_flags(flags: np.ndarray, probs):
-    """Total Bernoulli weight of the edge states flagged 1 in ``flags``.
+def enumerate_flags(row, ids: np.ndarray, probs):
+    """Total Bernoulli weight of the edge states ``s`` with ``row[ids[s]]`` true.
 
-    ``flags`` has one 0/1 entry per state of ``len(probs)`` edges, edge ``k``
-    on bit ``k``; ``probs`` are already checked.  Sums in ascending state
-    order; each weight is the product of its edges' :func:`_factors` taken
-    in edge order, and the float sum is :func:`sum_in_order`, so the result
-    has the bits of the plain per-state loop.  Exact when every probability
-    is an ``int`` or ``Fraction``, float otherwise.
+    ``ids`` is an array with one entry per state of ``len(probs)`` edges,
+    edge ``k`` on bit ``k``, ``row`` one entry per final state, and
+    ``probs`` are already checked.  Sums in ascending state order, one
+    chunk of ``2 ** CHUNK_BITS`` states at a time, each flagged by one
+    gather of ``row``; each weight is the product of its edges'
+    :func:`_factors` taken in edge order, and the float sum is
+    :func:`sum_in_order`, so the result has the bits of the plain per-state
+    loop.  Exact when every probability is an ``int`` or ``Fraction``,
+    float otherwise.
     """
     import numpy as np
 
+    row = np.array(row, dtype=bool)
     factors, denominator = _factors(probs)
     exact = denominator is not None
     table = np.ones(1, dtype=object if exact else float)
@@ -150,8 +152,8 @@ def enumerate_flags(flags: np.ndarray, probs):
     for absent, present in factors[:low]:
         table = np.concatenate((table * absent, table * present))
     total = 0 if exact else 0.0
-    for start in range(0, flags.size, table.size):
-        w = table[np.flatnonzero(flags[start : start + table.size])]
+    for start in range(0, ids.size, table.size):
+        w = table[row.take(ids[start : start + table.size])]
         high = start >> low
         for i, pair in enumerate(factors[low:]):
             w = w * pair[high >> i & 1]

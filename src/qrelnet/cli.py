@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     except RecursionError:
         _emit_error("internal", "recursion limit hit")
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         _emit_error("internal", f"{type(exc).__name__}: {exc}")
         return 1
     sys.stdout.write(text + "\n")

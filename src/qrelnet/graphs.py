@@ -17,12 +17,21 @@ from .partitions import Partition, partition_of
 # numpy loads only in the functions that build ``2 ** |E|`` arrays, so the
 # one frontier compile, ``frontier_lists``, serves ``split-verify``,
 # ``reliability --method factor``, and enum, ``qr``, ``hybrid`` and
-# ``sublayer`` while their states fit one chunk, without it.
+# ``sublayer`` while their states are held in lists, without it.
 if TYPE_CHECKING:
     import numpy as np
 
 # 2**24 basis states is the largest dense vector this package will touch.
 MAX_EDGES = 24
+# Up to this many edges the 2 ** |E| edge states, their traces and their
+# weights are Python lists, which need no numpy; past it they are numpy
+# arrays, since lists would cost several times their time and memory.
+LIST_EDGES = 16
+
+
+def in_lists(num_edges: int) -> bool:
+    """Whether the states of ``num_edges`` edges are held in Python lists, not numpy arrays."""
+    return num_edges <= LIST_EDGES
 
 
 class Graph(Record):
@@ -274,13 +283,10 @@ def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:
     return ids.reshape(-1), finals
 
 
-def connectivity_flags(g: Graph) -> np.ndarray:
-    """``uint8`` 0/1 flag of every edge state: 1 where it connects all of ``g``.
+def traces(g: Graph, u):
+    """``(ids, finals)`` of :func:`trace_lists` if ``in_lists(g.num_edges)``, else of :func:`component_traces`.
 
-    One kept vertex turns "no island" into "one component", and leaves one
-    live final state, numbered 1, so the trace ids are the flags; graphs
-    with no vertex or a single vertex are connected in every state.
+    Either way ``finals[ids[state]]`` is the component trace of ``state`` on
+    ``u``; the final numbers may differ between the two forms.
     """
-    import numpy as np
-
-    return component_traces(g, g.vertices[:1])[0].astype(np.uint8)
+    return (trace_lists if in_lists(g.num_edges) else component_traces)(g, u)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import check_probabilities, enumerate_flags, reliability_enumerate, sum_in_order, weigh_rows
+from .classical import check_probabilities, reliability_enumerate, sum_in_order, weigh_rows
 from .errors import QrelnetError, Record, SublayerError, WidthMismatchError
 from .graphs import Graph
 from .operators import quantum_reliability, quotient_values, split_sides, split_sum, split_terms, union_graph
@@ -90,12 +90,8 @@ def _check_inputs(decomp: Decomposition, state: HybridState) -> None:
 
 def _quotient_reliabilities(decomp: Decomposition, state: HybridState):
     """The weights and the quantum and classical reliability of every quotient."""
-    cm, k_side, (rows, ids) = split_sides(decomp.quantum, decomp.classical, decomp.shared)
-    if isinstance(ids, list):
-        rh = weigh_rows(rows, ids, state.classical)
-    else:
-        rh = [enumerate_flags(row[ids], state.classical) for row in rows]
-    return cm, quotient_values(k_side, state.quantum), list(map(float, rh))
+    cm, k_side, h_side = split_sides(decomp.quantum, decomp.classical, decomp.shared)
+    return cm, quotient_values(k_side, state.quantum), list(map(float, weigh_rows(*h_side, state.classical)))
 
 
 def hybrid_qr(decomp: Decomposition, state: HybridState) -> float:

@@ -14,14 +14,14 @@ from itertools import compress
 from math import sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import CHUNK_BITS, sum_in_order
+from .classical import sum_in_order
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
-from .graphs import Graph, component_traces, connectivity_flags, frontier_lists, trace_lists
+from .graphs import Graph, component_traces, frontier_lists, traces
 from .partitions import ConnectivityMatrix, Partition, connectivity_matrix, contract
 
 # numpy and the state module load in the functions that build arrays, so
-# ``split-verify``, and ``qr``, ``hybrid`` and ``sublayer`` on states of at
-# most ``CHUNK_BITS`` edges, run without them.
+# ``split-verify``, and ``qr``, ``hybrid`` and ``sublayer`` on states held in
+# lists, run without them.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -34,8 +34,14 @@ def _frozen(diag: np.ndarray) -> np.ndarray:
 
 
 def qr_operator(g: Graph) -> np.ndarray:
-    """Read-only ``uint8`` diagonal of the connectivity projector: 1 iff the state connects ``g``."""
-    return _frozen(connectivity_flags(g))
+    """Read-only ``uint8`` diagonal of the connectivity projector: 1 iff the state connects ``g``.
+
+    One kept vertex turns "no island" into "one component" and leaves one
+    live final state, numbered 1, so the trace ids are the flags.
+    """
+    import numpy as np
+
+    return _frozen(component_traces(g, g.vertices[:1])[0].astype(np.uint8))
 
 
 def qr_value(op, psi: StateVector) -> float:
@@ -56,17 +62,14 @@ def qr_value(op, psi: StateVector) -> float:
 def quantum_reliability(g: Graph, psi: StateVector) -> float:
     """``qr_value(qr_operator(g), psi)``, to the same bits.
 
-    On a state held in lists (at most ``CHUNK_BITS`` edges) the connectivity
-    flags are the trace ids of :func:`~qrelnet.graphs.trace_lists` with one
-    kept vertex, and the flagged Born weights are added in state order with
-    no numpy.
+    :func:`quotient_values` of the one row that flags the edge states whose
+    trace on one kept vertex, from :func:`~qrelnet.graphs.traces`, leaves
+    no island.
     """
     if psi.num_edges != g.num_edges:
         raise WidthMismatchError(f"state spans {psi.num_edges} edges, graph has {g.num_edges}")
-    if psi.weights is None:
-        return qr_value(qr_operator(g), psi)
-    flags, _ = trace_lists(g, g.vertices[:1])
-    return sum_in_order(compress(psi.weights, flags))
+    ids, finals = traces(g, g.vertices[:1])
+    return quotient_values(([[f is not None for f in finals]], ids), psi)[0]
 
 
 def o_gamma_operator(h: Graph, u, gamma: Partition) -> np.ndarray:
@@ -101,24 +104,6 @@ def union_graph(k: Graph, h: Graph, shared) -> Graph:
     return Graph(vertices, h.edges + k.edges)
 
 
-def quotient_table(g: Graph, shared, cm: ConnectivityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Connectivity of every quotient ``g / cm.order[i]``, from one frontier pass.
-
-    Returns ``(table, ids)`` with ``table[i][ids]`` equal to the diagonal of
-    ``qr_operator`` on the quotient graph of ``g`` by ``cm.order[i]``.  The
-    pass keeps the shared vertices live, so ``ids`` maps each state to its
-    component trace on them.  A state connects ``g / gamma`` exactly when it
-    leaves no island and its trace joins ``gamma`` into one block
-    (``QR(g/gamma)`` is the alpha-weighted sum of the ``O_gamma'``), so
-    ``table[i, s]`` is alpha between ``cm.order[i]`` and the trace of final
-    state ``s``, and 0 on the dead state.
-    """
-    import numpy as np
-
-    ids, finals = component_traces(g, shared)
-    return np.array(_quotient_rows(cm, finals), dtype=np.uint8), ids
-
-
 def _quotient_rows(cm: ConnectivityMatrix, finals) -> list[list[int]]:
     """Row ``i``: alpha between ``cm.order[i]`` and each final trace, 0 on the dead state ``finals[0]``."""
     index = {p: i for i, p in enumerate(cm.order)}
@@ -141,14 +126,12 @@ def _split_weights(k: Graph, h: Graph, shared) -> tuple[Graph, ConnectivityMatri
 def quotient_side(g: Graph, shared, cm: ConnectivityMatrix):
     """``(rows, ids)`` of every quotient ``g / cm.order[i]``: ``rows[i][ids[s]]`` flags state ``s``.
 
-    While the states fit one chunk (``|E| <= CHUNK_BITS``) both are Python
-    lists, from :func:`~qrelnet.graphs.trace_lists` and the alpha rows of
-    its final traces, with no numpy; past that they are the arrays of
-    :func:`quotient_table`.
+    ``ids`` are the traces on ``shared`` from :func:`~qrelnet.graphs.traces`.
+    A state connects ``g / gamma`` exactly when it leaves no island and its
+    trace joins ``gamma`` into one block (``QR(g/gamma)`` is the
+    alpha-weighted sum of the ``O_gamma'``): the :func:`_quotient_rows`.
     """
-    if g.num_edges > CHUNK_BITS:
-        return quotient_table(g, shared, cm)
-    ids, finals = trace_lists(g, shared)
+    ids, finals = traces(g, shared)
     return _quotient_rows(cm, finals), ids
 
 
@@ -163,13 +146,17 @@ def quotient_values(side, psi: StateVector) -> list[float]:
 
     Each row's flagged Born weights are added in state order: on a list side
     from ``psi.weights``, with no numpy; on an array side from one
-    ``psi.probabilities()`` for all the rows.
+    ``psi.probabilities()`` for all the rows.  The weights are finite and
+    at least +0.0, so leaving out the unflagged ones, as both do, keeps the
+    bits of ``qr_value``, which adds them as +0.0 to a total never -0.0.
     """
     rows, ids = side
     if isinstance(ids, list):
         return [sum_in_order(compress(psi.weights, map(row.__getitem__, ids))) for row in rows]
+    import numpy as np
+
     weights = psi.probabilities()
-    return [sum_in_order(row[ids] * weights) for row in rows]
+    return [sum_in_order(weights[np.array(row, dtype=bool).take(ids)]) for row in rows]
 
 
 def split_terms(cm: ConnectivityMatrix, left, right) -> list[tuple[int, int, int, float]]:

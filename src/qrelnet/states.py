@@ -10,9 +10,9 @@ Every complex product is ``(ac - bd, ad + bc)`` and every Born weight is
 summed in state order by :func:`~qrelnet.classical.sum_in_order`.  Python
 floats do the same operations bit for bit, and no numpy loop can fuse or
 reorder them, so no printed value depends on the SIMD code numpy picks for
-the CPU.  A state of at most ``CHUNK_BITS`` edges is built, checked and
-weighed in Python float lists, with no numpy; a larger one holds two float64
-arrays, and numpy loads there.
+the CPU.  A state whose edges :func:`~qrelnet.graphs.in_lists` holds in
+lists is built, checked and weighed in Python float lists, with no numpy; a
+larger one holds two float64 arrays, and numpy loads there.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .classical import CHUNK_BITS, sum_in_order
 from .errors import CapacityError, NormalizationError, QrelnetError, Record
-from .graphs import MAX_EDGES, check_state
+from .graphs import MAX_EDGES, check_state, in_lists
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,9 +34,9 @@ NORM_TOL = 1e-10
 class StateVector(Record):
     """Unit-norm complex amplitudes over the edge-configuration basis.
 
-    A state holds its real and imaginary parts: two Python float lists up
-    to ``CHUNK_BITS`` edges, with its Born weights as a third, ``weights``;
-    two float64 arrays past that, with ``weights`` ``None``.
+    A state holds its real and imaginary parts: two Python float lists
+    where ``in_lists(num_edges)``, with its Born weights as a third,
+    ``weights``; two float64 arrays past that, with ``weights`` ``None``.
     ``amplitudes`` is the read-only complex128 array either way, built from
     the parts on first read.  States compare by identity.
     """
@@ -56,7 +56,7 @@ class StateVector(Record):
                 f"expected {1 << num_edges} amplitudes, got shape {amps.shape}",
                 code="invalid_state",
             )
-        if num_edges <= CHUNK_BITS:
+        if in_lists(num_edges):
             self._init(num_edges, amps.real.tolist(), amps.imag.tolist())
         else:
             self._init(num_edges, amps.real, amps.imag)
@@ -65,7 +65,7 @@ class StateVector(Record):
 
     @classmethod
     def _of(cls, num_edges: int, parts) -> StateVector:
-        """The state of ``(re, im)``: float lists up to ``CHUNK_BITS`` edges, float64 arrays past that."""
+        """The state of ``(re, im)``: float lists where ``in_lists(num_edges)``, float64 arrays past that."""
         state = object.__new__(cls)
         state._init(num_edges, *parts)
         return state
@@ -107,7 +107,7 @@ class StateVector(Record):
 def _born(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    step = 1 << 16  # im * im a chunk at a time, so no second full-size array is made
+    step = 1 << CHUNK_BITS  # im * im a chunk at a time, so no second full-size array is made
     with np.errstate(over="ignore"):  # a huge finite amplitude squares to inf
         weights = re * re
         for i in range(0, weights.size, step):
@@ -128,7 +128,9 @@ def _kron(a, b, lists: bool):
 
     ``a`` and ``b`` are ``(re, im)`` pairs; the result is a pair of float
     lists if ``lists``, else of float64 arrays.  Either way each product is
-    ``(ac - bd, ad + bc)``, one rounding per operation.
+    ``(ac - bd, ad + bc)``, one rounding per operation.  Arrays, whose
+    lengths are powers of two, are written a block of ``2 ** CHUNK_BITS``
+    entries at a time, through one reused temporary.
     """
     (ar, ai), (br, bi) = a, b
     if lists:
@@ -138,10 +140,15 @@ def _kron(a, b, lists: bool):
     import numpy as np
 
     outer = np.multiply.outer
-    re = outer(ar, br)
-    re -= outer(ai, bi)
-    im = outer(ar, bi)
-    im += outer(ai, br)
+    re, im = np.empty((len(ar), len(br))), np.empty((len(ar), len(br)))
+    step = max(1, (1 << CHUNK_BITS) // len(br))
+    tmp = np.empty((min(step, len(ar)), len(br)))
+    for i in range(0, len(ar), step):
+        rows = slice(i, i + step)
+        outer(ar[rows], br, out=re[rows])
+        re[rows] -= outer(ai[rows], bi, out=tmp)
+        outer(ar[rows], bi, out=im[rows])
+        im[rows] += outer(ai[rows], br, out=tmp)
     return re.reshape(-1), im.reshape(-1)
 
 
@@ -183,7 +190,7 @@ def product_state(specs) -> StateVector:
     specs = list(specs)
     if not 1 <= len(specs) <= MAX_EDGES:
         raise CapacityError(f"product states support 1..{MAX_EDGES} edges, got {len(specs)}")
-    lists = len(specs) <= CHUNK_BITS
+    lists = in_lists(len(specs))
     parts = [1.0], [0.0]
     for spec in specs:
         parts = _kron(_qubit_parts(spec), parts, lists)
@@ -207,7 +214,7 @@ def two_term_state(g, zeta: int, chi: int, p: float, phase: complex = 1.0 + 0j) 
     if not 0 <= p <= 1:
         raise QrelnetError(f"probability {p} outside [0, 1]", code="invalid_probability")
     _check_phase(phase)
-    if num_edges <= CHUNK_BITS:
+    if in_lists(num_edges):
         re, im = [0.0] * size, [0.0] * size
     else:
         import numpy as np
@@ -220,7 +227,7 @@ def two_term_state(g, zeta: int, chi: int, p: float, phase: complex = 1.0 + 0j) 
 
 def state_of_parts(num_edges: int, parts: list[float]) -> StateVector:
     """The state whose amplitude ``i`` is ``parts[2 * i] + 1j * parts[2 * i + 1]``, bit for bit."""
-    if num_edges > CHUNK_BITS:
+    if not in_lists(num_edges):
         import numpy as np
 
         parts = np.array(parts, dtype=np.float64)
@@ -232,4 +239,4 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     n = a.num_edges + b.num_edges
     if n > MAX_EDGES:
         raise CapacityError(f"tensor product would span {n} edges, cap is {MAX_EDGES}")
-    return StateVector._of(n, _kron(a._parts, b._parts, n <= CHUNK_BITS))
+    return StateVector._of(n, _kron(a._parts, b._parts, in_lists(n)))

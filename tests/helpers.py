@@ -471,6 +471,17 @@ def product_amplitudes_oracle(specs) -> list[tuple[float, float]]:
     return out
 
 
+def kron_outer_oracle(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The array tensor product of ``(re, im)`` pairs as four whole outer products, ``a`` in the high bits."""
+    (ar, ai), (br, bi) = a, b
+    outer = np.multiply.outer
+    re = outer(ar, br)
+    re -= outer(ai, bi)
+    im = outer(ar, bi)
+    im += outer(ai, br)
+    return re.reshape(-1), im.reshape(-1)
+
+
 def born_oracle(amplitudes) -> list[float]:
     """``re * re + im * im`` of every amplitude, in Python floats."""
     return [a.real * a.real + a.imag * a.imag for a in map(complex, amplitudes)]

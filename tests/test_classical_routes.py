@@ -4,8 +4,9 @@
 returns, and ``reliability_factorize`` exactly what the plain
 deletion/contraction recursion returns: the same type, floats with the same
 bits, rationals equal.  Connectivity is checked a third way, by networkx.
-Enumeration walks Python lists up to ``CHUNK_BITS`` edges and chunked arrays
-past that; at the boundary the array route is the oracle of the list route.
+Enumeration walks Python lists up to ``graphs.LIST_EDGES`` edges and chunked
+arrays past that; at the boundary the array route is the oracle of the list
+route.
 """
 
 import random
@@ -13,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from qrelnet import Graph, classical, reliability_enumerate, reliability_factorize
-from qrelnet.classical import CHUNK_BITS, enumerate_flags
-from qrelnet.graphs import connectivity_flags
+from qrelnet import Graph, classical, graphs, reliability_enumerate, reliability_factorize
+from qrelnet.classical import enumerate_flags
+from qrelnet.graphs import LIST_EDGES, component_traces
 
 from helpers import (
     edge_case_graphs,
@@ -55,10 +56,12 @@ def test_enumerate_matches_per_state_loop(kind, monkeypatch):
     for g in [*edge_case_graphs(42, 100, 6, 9), scrambled_k6()]:
         probs = _probabilities(rng, g.num_edges, kind)
         expected = enumerate_oracle(g, probs)
-        # At 16 bits every graph here takes the list route; two-bit chunks
-        # send every graph with more than two edges through the array route
-        # and its chunked walk over the high edges.
-        for chunk_bits in (16, 2):
+        # At the default gate every graph here takes the list route; with
+        # no graph in lists, every graph takes the array route, and two-bit
+        # chunks send those with more than two edges through its chunked
+        # walk over the high edges.
+        for list_edges, chunk_bits in ((LIST_EDGES, 16), (-1, 2)):
+            monkeypatch.setattr(graphs, "LIST_EDGES", list_edges)
             monkeypatch.setattr(classical, "CHUNK_BITS", chunk_bits)
             assert _same(reliability_enumerate(g, probs), expected)
 
@@ -98,11 +101,12 @@ def test_list_route_matches_array_route_at_one_chunk(kind):
     # 16 edges take the list route and 17 the array route, each checked
     # against the array route called directly.
     rng = random.Random(49)
-    for num_edges in (CHUNK_BITS, CHUNK_BITS + 1):
+    for num_edges in (LIST_EDGES, LIST_EDGES + 1):
         g = _multigraph(rng, 7, num_edges)
         probs = _probabilities(rng, num_edges, kind)
         value = reliability_enumerate(g, probs)
-        assert _same(value, enumerate_flags(connectivity_flags(g), probs))
+        ids, finals = component_traces(g, g.vertices[:1])
+        assert _same(value, enumerate_flags([f is not None for f in finals], ids, probs))
         assert 0 < value < 1
 
 

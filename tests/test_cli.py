@@ -472,6 +472,18 @@ def test_memory_error_is_a_capacity_error(tmp_path, monkeypatch):
     _assert_rejected(run_cli("sample", "--graph", g, "--state", s, "-n", "10"), "capacity")
 
 
+def test_any_other_fault_is_an_internal_error(monkeypatch):
+    def broken(args):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr("qrelnet.cli._cmd_matrix", broken)
+    code, out, err = run_cli("matrix", "--m", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"schema": "qrelnet/1",
+                               "error": {"code": "internal", "message": "RuntimeError: broken on purpose"}}
+
+
 def test_exact_probability_exponents_are_capped(tmp_path):
     g = write_json(tmp_path, "g.json", {"vertices": ["a", "b"], "edges": [["a", "b"]]})
     code, out, err = run_cli("reliability", "--graph", g, "--p", "1e-4299", "--exact")

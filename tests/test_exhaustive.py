@@ -16,16 +16,18 @@ import numpy as np
 import sympy
 
 from qrelnet import (
+    MAX_EDGES,
     Graph,
     connectivity_matrix,
     enumerate_partitions,
+    graphs,
     o_gamma_operator,
     qr_operator,
     quotient,
     reliability_enumerate,
     reliability_factorize,
 )
-from qrelnet.operators import quotient_table, verify_split
+from qrelnet.operators import quotient_side, verify_split
 
 from helpers import bfs_trace, factorize_oracle
 
@@ -92,12 +94,17 @@ def test_o_gamma_projectors_are_the_component_traces():
     assert count == 2 * 189
 
 
-def test_quotient_table_rows_are_the_quotient_projectors():
+def test_quotient_side_rows_are_the_quotient_projectors(monkeypatch):
     for g, u in chain(kept_sets(), multigraph_kept_sets()):
         cm = connectivity_matrix(u)
-        table, ids = quotient_table(g, u, cm)
-        for row, gamma in zip(table, cm.order):
-            assert np.array_equal(row[ids], qr_operator(quotient(g, u, gamma))), (g, u, gamma)
+        expected = [qr_operator(quotient(g, u, gamma)).tolist() for gamma in cm.order]
+        # Both forms of the side: every graph in lists, then none.
+        for list_edges in (MAX_EDGES, -1):
+            monkeypatch.setattr(graphs, "LIST_EDGES", list_edges)
+            rows, ids = quotient_side(g, u, cm)
+            assert isinstance(ids, list) == (list_edges == MAX_EDGES)
+            for row, flags, gamma in zip(rows, expected, cm.order):
+                assert [row[s] for s in ids] == flags, (g, u, gamma)
 
 
 def tutte_reliability(g: Graph, p: Fraction) -> Fraction:

@@ -14,9 +14,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import qrelnet.graphs
 from qrelnet import (
+    MAX_EDGES,
     Decomposition,
     Graph,
     HybridState,
@@ -31,7 +33,7 @@ from qrelnet import (
     split_operator,
     sublayer_qr,
 )
-from qrelnet.graphs import _breadth_first_order, component_traces, frontier_lists, trace_lists
+from qrelnet.graphs import _breadth_first_order, component_traces, frontier_lists, trace_lists, traces
 
 from helpers import (
     bfs_is_connected,
@@ -40,6 +42,7 @@ from helpers import (
     enumerate_oracle,
     frontier_tables_oracle,
     horizontal_first_grid,
+    random_graph,
     random_state,
     scrambled_k6,
 )
@@ -111,6 +114,24 @@ def test_component_traces_equal_the_given_order_compile():
         expected_ids, expected_finals = trace_lists(g, u)
         assert ids.dtype == np.int32
         assert [finals[i] for i in ids.tolist()] == [expected_finals[i] for i in expected_ids]
+
+
+@pytest.mark.parametrize("num_edges", [15, 16, 17])
+def test_traces_give_the_same_traces_in_both_forms(num_edges, monkeypatch):
+    # graphs.traces picks lists or arrays by one gate; forced each way, the
+    # numbers may differ, never the trace of any state.
+    rng = random.Random(num_edges)
+    g = random_graph(rng, 8, num_edges, min_vertices=8, min_edges=num_edges)
+    u = rng.sample(g.vertices, 3)
+    assert isinstance(traces(g, u)[0], list) == (num_edges <= qrelnet.graphs.LIST_EDGES)
+    seen = []
+    for list_edges in (MAX_EDGES, -1):
+        monkeypatch.setattr(qrelnet.graphs, "LIST_EDGES", list_edges)
+        ids, finals = traces(g, u)
+        assert isinstance(ids, list) == (list_edges == MAX_EDGES)
+        seen.append([finals[i] for i in (ids if isinstance(ids, list) else ids.tolist())])
+    assert seen[0] == seen[1]
+    assert len(set(seen[0])) > 2
 
 
 def test_the_breadth_first_order_narrows_a_horizontal_first_grid():

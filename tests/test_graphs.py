@@ -136,7 +136,7 @@ def test_connectivity_conventions():
 
 def test_one_kept_vertex_makes_the_trace_ids_the_flags():
     # A partition of one vertex is unique, so at most one final state is
-    # live, and it is numbered 1: connectivity_flags reads the ids as flags.
+    # live, and it is numbered 1: qr_operator reads the ids as flags.
     rng = random.Random(17)
     stranded = Graph(("a", "b", "c"), (("a", "b"), ("b", "a")))
     graphs = [Graph((), ()), Graph(("a",), ()), Graph(("a",), (("a", "a"),)), stranded, triangle()]

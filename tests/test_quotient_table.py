@@ -1,22 +1,22 @@
 """Differential checks of the one-pass quotient route against quotient graphs.
 
-``split_operator``, ``qr_split_value``, ``hybrid_qr`` and ``sublayer_qr``
-read every quotient ``g / gamma`` from one frontier pass per side through
-``operators.quotient_table``.  The oracles in ``helpers`` build each quotient
-graph and evaluate it on its own, as the library did before; floats must
-agree bit for bit.
+``qr_split_value``, ``hybrid_qr`` and ``sublayer_qr`` read every quotient
+``g / gamma`` from one frontier pass per side through
+``operators.quotient_side``, whose rows are checked on both forms, lists and
+arrays.  The oracles in ``helpers`` build each quotient graph and evaluate it
+on its own, as the library did before; floats must agree bit for bit.
 """
 
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from qrelnet import (
+    MAX_EDGES,
     Decomposition,
     Graph,
     HybridState,
     connectivity_matrix,
+    graphs,
     hybrid_qr,
     qr_operator,
     qr_split_value,
@@ -26,7 +26,7 @@ from qrelnet import (
     single_block,
     sublayer_qr,
 )
-from qrelnet.operators import quotient_table
+from qrelnet.operators import quotient_side
 
 from helpers import quotient_loop, random_split, random_state, split_terms_oracle, sum_in_order
 
@@ -53,18 +53,20 @@ def _classical_loop(g, shared, probs):
     return quotient_loop(g, shared, lambda q: float(reliability_enumerate(q, list(probs))))
 
 
-def test_every_row_is_the_quotient_projector():
+def test_every_row_is_the_quotient_projector(monkeypatch):
     for _, _, (k, h, shared) in _cuts(31, 80):
         cm = connectivity_matrix(shared)
         for g in (k, h):
-            table, ids = quotient_table(g, shared, cm)
-            assert table.dtype == np.uint8
-            assert table[:, 0].tolist() == [0] * len(cm.order)
-            block = table[:, ids]
-            for i, p in enumerate(cm.order):
-                expected = qr_operator(quotient(g, shared, p)).tolist()
-                assert table[i][ids].tolist() == expected
-                assert block[i].tolist() == expected
+            expected = [qr_operator(quotient(g, shared, p)).tolist() for p in cm.order]
+            # Both forms of the side: every graph in lists, then none.
+            for list_edges in (MAX_EDGES, -1):
+                monkeypatch.setattr(graphs, "LIST_EDGES", list_edges)
+                rows, ids = quotient_side(g, shared, cm)
+                assert isinstance(ids, list) == (list_edges == MAX_EDGES)
+                assert [row[0] for row in rows] == [0] * len(cm.order)
+                assert all(set(row) <= {0, 1} for row in rows)
+                for row, flags in zip(rows, expected):
+                    assert [row[s] for s in ids] == flags
 
 
 def test_qr_split_value_equals_quotient_loop():

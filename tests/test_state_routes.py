@@ -9,9 +9,10 @@ state order.  So:
   every ``__cpu_dispatch__`` entry disabled;
 - ``probabilities()`` and ``product_state`` equal a per-entry Python-float
   oracle bit for bit;
-- a state of at most ``CHUNK_BITS`` edges, built and weighed in Python lists,
-  prints what the array route prints, on both sides of the gate, and a
-  state that is not normalized fails with the same message on both.
+- a state of at most ``graphs.LIST_EDGES`` edges, built and weighed in
+  Python lists, prints what the array route prints, on both sides of the
+  gate, and a state that is not normalized fails with the same message on
+  both.
 """
 
 import contextlib
@@ -28,11 +29,12 @@ import numpy as np
 import pytest
 
 import qrelnet
-from qrelnet import QubitSpec, StateVector, operators, product_state, states
-from qrelnet.classical import CHUNK_BITS
+from qrelnet import Graph, QubitSpec, StateVector, WidthMismatchError, graphs, product_state, states
 from qrelnet.cli import main
+from qrelnet.graphs import LIST_EDGES
+from qrelnet.operators import quantum_reliability
 
-from helpers import born_oracle, edge_state_to_text, product_amplitudes_oracle, random_state
+from helpers import born_oracle, edge_state_to_text, kron_outer_oracle, product_amplitudes_oracle, random_state
 
 SRC = str(Path(qrelnet.__file__).resolve().parents[1])
 
@@ -153,8 +155,7 @@ def _bits(values) -> list[int]:
 
 def _take(monkeypatch, route: str) -> None:
     """Send every state, and every side of a split, down the named route, whatever its size."""
-    for module in (states, operators):
-        monkeypatch.setattr(module, "CHUNK_BITS", states.MAX_EDGES if route == "lists" else -1)
+    monkeypatch.setattr(graphs, "LIST_EDGES", states.MAX_EDGES if route == "lists" else -1)
 
 
 @pytest.fixture(params=["lists", "arrays"])
@@ -180,6 +181,16 @@ def test_probabilities_round_once_per_operation(route):
     for n, seed in ((0, 1), (3, 2), (10, 3)):
         psi = StateVector(n, random_state(n, seed).amplitudes)
         assert _bits(psi.probabilities()) == _bits(born_oracle(psi.amplitudes.tolist()))
+
+
+def test_array_tensor_products_have_the_bits_of_whole_outer_products():
+    # Many blocks of rows, one row per block, blocks of one column, and a
+    # one-entry factor on either side.
+    rng = np.random.default_rng(7)
+    for na, nb in ((1 << 10, 1 << 8), (2, 1 << 17), (1 << 17, 1), (1, 1 << 5), (4, 2)):
+        a = rng.standard_normal(na), rng.standard_normal(na)
+        b = rng.standard_normal(nb), rng.standard_normal(nb)
+        assert [_bits(x) for x in states._kron(a, b, False)] == [_bits(x) for x in kron_outer_oracle(a, b)]
 
 
 # --------------------------------------------------------------- list route against array route
@@ -209,14 +220,14 @@ def test_qr_prints_the_same_bytes_on_both_routes(tmp_path, monkeypatch, num_edge
 @pytest.mark.parametrize("sizes", [(15, 4), (16, 4), (17, 4), (4, 15), (4, 16), (4, 17)],
                          ids=lambda s: f"quantum{s[0]}-classical{s[1]}")
 def test_hybrid_and_sublayer_print_the_same_bytes_on_both_routes(tmp_path, monkeypatch, sizes):
-    forms = SPARSE_FORMS if sizes[0] > CHUNK_BITS else ALL_FORMS
+    forms = SPARSE_FORMS if sizes[0] > LIST_EDGES else ALL_FORMS
     cases = _cases(tmp_path, sum(sizes), (), (sizes,), forms)
     assert [code for code, _, _ in _both_routes(monkeypatch, cases)] == [0] * len(cases)
 
 
 @pytest.mark.parametrize("num_edges", [16, 17])
 def test_a_state_off_the_norm_fails_with_one_message_on_both_routes(tmp_path, monkeypatch, num_edges):
-    split_sizes = ((num_edges, 4),) if num_edges <= CHUNK_BITS else ()
+    split_sizes = ((num_edges, 4),) if num_edges <= LIST_EDGES else ()
     cases = _cases(tmp_path, 7, (num_edges,), split_sizes, ("amplitudes",), commands=("hybrid",), scale=1 + 1e-7)
     results = _both_routes(monkeypatch, cases)
     for code, out, err in results:
@@ -224,8 +235,16 @@ def test_a_state_off_the_norm_fails_with_one_message_on_both_routes(tmp_path, mo
         assert json.loads(err)["error"]["code"] == "not_normalized"
 
 
-def test_the_gate_is_chunk_bits_edges(tmp_path):
-    for n in (CHUNK_BITS, CHUNK_BITS + 1):
+def test_the_gate_is_list_edges(tmp_path):
+    for n in (LIST_EDGES, LIST_EDGES + 1):
         rng = random.Random(n)
         psi = product_state(QubitSpec(rng.random(), complex(*_phase(rng))) for _ in range(n))
-        assert (psi.weights is None) == (n > CHUNK_BITS)
+        assert (psi.weights is None) == (n > LIST_EDGES)
+
+
+def test_quantum_reliability_rejects_a_state_of_another_width(route):
+    g = Graph(("a", "b"), (("a", "b"), ("a", "b")))
+    psi = product_state([QubitSpec(0.5)] * 3)
+    assert (psi.weights is None) == (route == "arrays")
+    with pytest.raises(WidthMismatchError, match="state spans 3 edges, graph has 2"):
+        quantum_reliability(g, psi)

@@ -100,6 +100,16 @@ def test_state_vector_rejects_off_norm_instead_of_fixing():
     StateVector(1, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("num_edges", [3, 17])
+def test_state_vector_rejects_a_nan_amplitude_in_lists_and_arrays(num_edges):
+    # 3 edges are held in lists, 17 in arrays: each form has its own finiteness check.
+    amplitudes = np.zeros(1 << num_edges, dtype=complex)
+    amplitudes[0], amplitudes[5] = 1.0, complex(math.nan, 0.0)
+    with pytest.raises(QrelnetError, match="amplitudes must be finite") as info:
+        StateVector(num_edges, amplitudes)
+    assert info.value.code == "invalid_state"
+
+
 def test_state_vector_rejects_wrong_length():
     with pytest.raises(QrelnetError):
         StateVector(2, [1.0, 0.0])
