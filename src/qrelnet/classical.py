@@ -3,14 +3,14 @@
 Two routes to the same number, both over the one frontier compile of
 :mod:`qrelnet.graphs`, :func:`~qrelnet.graphs.frontier_lists`: an
 enumeration of the connected edge states, and the deletion/contraction
-recursion run as a dynamic program over frontier states.  The factor
-route, and the enumeration while its ``2 ** |E|`` states fit one chunk,
-walk its Python-list tables in the given edge order, with no numpy; a
-larger enumeration takes the trace ids of
-:func:`~qrelnet.graphs.component_traces`, compiled in a breadth-first
-edge order, and weighs them in chunks.  numpy loads only in the functions
-that build arrays.  Both accept floats or exact rationals; with
-``fractions.Fraction`` probabilities every intermediate stays exact.
+recursion run as a dynamic program over frontier states.  The enumeration
+weighs the trace ids of :func:`~qrelnet.graphs.traces`, compiled in a
+breadth-first edge order: Python lists while its ``2 ** |E|`` states fit
+one chunk, arrays weighed in chunks past that.  The factor route walks
+the Python-list tables in the given edge order, which its float bits
+follow.  numpy loads only in the functions that build arrays.  Both
+accept floats or exact rationals; with ``fractions.Fraction``
+probabilities every intermediate stays exact.
 """
 
 from __future__ import annotations
@@ -20,13 +20,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import prod
-from typing import TYPE_CHECKING
 
 from .errors import QrelnetError, WidthMismatchError
 from .graphs import Graph, frontier_lists, traces
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # An array of states is walked in aligned chunks of 2 ** CHUNK_BITS, so no
 # temporary grows with |E|; enumeration tabulates the factors of that many
@@ -88,23 +84,44 @@ def weigh_rows(rows, ids, probs) -> list:
 
     ``ids`` has one entry per state of ``len(probs)`` edges, edge ``k`` on
     bit ``k``, each row one entry per final state, and ``probs`` are
-    already checked.  Array ``ids`` are weighed by :func:`enumerate_flags`
-    row by row.  For list ``ids`` the weights are a Python list, doubled
-    once per edge, each the product of its edges' :func:`_factors` in edge
-    order, and each row's are added in state order by :func:`sum_in_order`,
-    so both forms give the same bits.  Exact when every probability is an
-    ``int`` or ``Fraction``, float otherwise.
+    already checked.  Each weight is the product of its edges'
+    :func:`_factors` in edge order, and each row's are added in state order,
+    floats by :func:`sum_in_order`, so both forms give the bits of the
+    plain per-state loop.  List weights double once per edge.  Array
+    ``ids`` are walked in chunks of ``2 ** CHUNK_BITS`` states, each row
+    gathering one table of the low edges' weights, the high edges' factors
+    following.  Exact when every probability is an ``int`` or ``Fraction``,
+    float otherwise.
     """
-    if not isinstance(ids, list):
-        return [enumerate_flags(row, ids, probs) for row in rows]
     factors, denominator = _factors(probs)
-    weights = [1.0 if denominator is None else 1]
-    for absent, present in factors:
-        weights = [w * absent for w in weights] + [w * present for w in weights]
-    kept = [compress(weights, map(row.__getitem__, ids)) for row in rows]
-    if denominator is None:
-        return list(map(sum_in_order, kept))
-    return [Fraction(sum(k), denominator) for k in kept]
+    exact = denominator is not None
+    if isinstance(ids, list):
+        weights = [1 if exact else 1.0]
+        for absent, present in factors:
+            weights = [w * absent for w in weights] + [w * present for w in weights]
+        kept = [compress(weights, map(row.__getitem__, ids)) for row in rows]
+        if not exact:
+            return list(map(sum_in_order, kept))
+        return [Fraction(sum(k), denominator) for k in kept]
+    import numpy as np
+
+    table = np.ones(1, dtype=object if exact else float)
+    low = min(len(factors), CHUNK_BITS)
+    # table[s] is the weight of the low edges in state s, multiplied in edge order.
+    for absent, present in factors[:low]:
+        table = np.concatenate((table * absent, table * present))
+    totals = []
+    for row in rows:
+        row = np.array(row, dtype=bool)
+        total = 0 if exact else 0.0
+        for start in range(0, ids.size, table.size):
+            w = table[row.take(ids[start : start + table.size])]
+            high = start >> low
+            for i, pair in enumerate(factors[low:]):
+                w = w * pair[high >> i & 1]
+            total = total + int(w.sum()) if exact else sum_in_order(w, total)
+        totals.append(Fraction(total, denominator) if exact else total)
+    return totals
 
 
 def sum_in_order(values, start: float = 0.0) -> float:
@@ -126,41 +143,6 @@ def sum_in_order(values, start: float = 0.0) -> float:
     for i in range(0, values.size, step):
         start = float(np.add.accumulate(np.concatenate(([start], values[i : i + step])))[-1])
     return start
-
-
-def enumerate_flags(row, ids: np.ndarray, probs):
-    """Total Bernoulli weight of the edge states ``s`` with ``row[ids[s]]`` true.
-
-    ``ids`` is an array with one entry per state of ``len(probs)`` edges,
-    edge ``k`` on bit ``k``, ``row`` one entry per final state, and
-    ``probs`` are already checked.  Sums in ascending state order, one
-    chunk of ``2 ** CHUNK_BITS`` states at a time, each flagged by one
-    gather of ``row``; each weight is the product of its edges'
-    :func:`_factors` taken in edge order, and the float sum is
-    :func:`sum_in_order`, so the result has the bits of the plain per-state
-    loop.  Exact when every probability is an ``int`` or ``Fraction``,
-    float otherwise.
-    """
-    import numpy as np
-
-    row = np.array(row, dtype=bool)
-    factors, denominator = _factors(probs)
-    exact = denominator is not None
-    table = np.ones(1, dtype=object if exact else float)
-    low = min(len(factors), CHUNK_BITS)
-    # table[s] is the weight of the low edges in state s, multiplied in edge order.
-    for absent, present in factors[:low]:
-        table = np.concatenate((table * absent, table * present))
-    total = 0 if exact else 0.0
-    for start in range(0, ids.size, table.size):
-        w = table[row.take(ids[start : start + table.size])]
-        high = start >> low
-        for i, pair in enumerate(factors[low:]):
-            w = w * pair[high >> i & 1]
-        total = total + int(w.sum()) if exact else sum_in_order(w, total)
-    if exact:
-        return Fraction(total, denominator)
-    return total
 
 
 def reliability_factorize(g: Graph, probs):

@@ -163,7 +163,8 @@ def frontier_lists(g: Graph, u) -> tuple[int, list[tuple[list[int], list[int]]],
     appearance, state by state, edge absent before edge present.  Edge
     ``k`` meets at most ``2 ** k`` search states, so compiling never costs
     more than enumerating, but how many it meets depends on the edge order,
-    which :func:`component_traces` therefore chooses breadth first.
+    which the trace passes therefore choose breadth first
+    (:func:`_breadth_first_compile`).
     """
     uset = set(u)
     if not uset <= set(g.vertices):
@@ -242,19 +243,37 @@ def _breadth_first_order(g: Graph) -> list[int]:
     return sorted(range(g.num_edges), key=lambda k: sorted(map(number.__getitem__, g.edges[k]), reverse=True))
 
 
-def trace_lists(g: Graph, u) -> tuple[list[int], list[Partition | None]]:
-    """:func:`component_traces` as Python lists, on the edges in their given order, with no numpy.
+def _breadth_first_compile(g: Graph, u) -> tuple:
+    """``(order, start, tables, finals)``: :func:`frontier_lists` on ``g``'s edges in :func:`_breadth_first_order`.
 
-    Returns ``(ids, finals)`` with ``ids`` a Python int list, doubled once
-    per edge, so edge ``k`` stays bit ``k`` of the state index.  The final
-    states are numbered by :func:`frontier_lists` on ``g`` itself, so
-    ``finals[ids[state]]`` is that of :func:`component_traces` but the
-    numbers may differ.
+    Both trace forms apply ``tables[j]`` onto bit ``order[j]``, so they
+    number the final states alike.
     """
-    start, tables, finals = frontier_lists(g, u)
+    order = _breadth_first_order(g)
+    return order, *frontier_lists(Graph(g.vertices, [g.edges[k] for k in order]), u)
+
+
+def trace_lists(g: Graph, u) -> tuple[list[int], list[Partition | None]]:
+    """:func:`component_traces` as Python lists, with no numpy: the same ``ids`` and ``finals``.
+
+    Table ``j`` of the breadth-first compile, of edge ``k = order[j]``,
+    doubles ``ids``: each block of ``2 ** b`` entries, ``b`` the edges
+    already placed below ``k``, is followed by its image with edge ``k``
+    present, so edge ``k`` lands on its own bit.  Few long blocks map
+    whole, many short ones a position at a time by strided slices.
+    """
+    order, start, tables, finals = _breadth_first_compile(g, u)
     ids = [start]
-    for t0, t1 in tables:
-        ids = list(map(t0.__getitem__, ids)) + list(map(t1.__getitem__, ids))
+    for j, (k, (t0, t1)) in enumerate(zip(order, tables)):
+        n, block = len(ids), 1 << sum(i < k for i in order[:j])
+        if block * block >= n:
+            ids = [t[x] for i in range(0, n, block) for t in (t0, t1) for x in ids[i : i + block]]
+            continue
+        absent, present = list(map(t0.__getitem__, ids)), list(map(t1.__getitem__, ids))
+        ids = [0] * (2 * n)
+        for r in range(block):
+            ids[r :: 2 * block] = absent[r::block]
+            ids[block + r :: 2 * block] = present[r::block]
     return ids, finals
 
 
@@ -264,16 +283,14 @@ def component_traces(g: Graph, u) -> tuple[np.ndarray, list[Partition | None]]:
     Returns ``(ids, finals)``: ``finals[ids[state]]`` is the partition of
     ``u`` whose blocks are the intersections of the active components with
     ``u``, or ``None`` when some component misses ``u`` entirely (an island,
-    which no vertex merge can ever reconnect).  Compiles
-    :func:`frontier_lists` on the edges in :func:`_breadth_first_order`, and
-    applies table ``j``, of edge ``k = order[j]``, with one gather per bit
-    value along the axis of bit ``k`` of a ``(2,) * |E|`` array, so edge
-    ``k`` stays bit ``k`` of the state index.
+    which no vertex merge can ever reconnect).  Applies table ``j`` of
+    :func:`_breadth_first_compile`, of edge ``k = order[j]``, with one
+    gather per bit value along the axis of bit ``k`` of a ``(2,) * |E|``
+    array, so edge ``k`` stays bit ``k`` of the state index.
     """
     import numpy as np
 
-    order = _breadth_first_order(g)
-    start, tables, finals = frontier_lists(Graph(g.vertices, [g.edges[k] for k in order]), u)
+    order, start, tables, finals = _breadth_first_compile(g, u)
     n = g.num_edges
     ids = np.full((1,) * n, start, dtype=np.int32)
     for k, pair in zip(order, tables):
@@ -287,6 +304,6 @@ def traces(g: Graph, u):
     """``(ids, finals)`` of :func:`trace_lists` if ``in_lists(g.num_edges)``, else of :func:`component_traces`.
 
     Either way ``finals[ids[state]]`` is the component trace of ``state`` on
-    ``u``; the final numbers may differ between the two forms.
+    ``u``, and the two forms hold the same numbers.
     """
     return (trace_lists if in_lists(g.num_edges) else component_traces)(g, u)

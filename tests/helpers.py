@@ -10,7 +10,9 @@ partition instead of one frontier pass per side, int64 matrix products
 instead of packed-int sums for the split contraction, both split operators
 over every edge state instead of the reachable product states of three
 frontier automata for the split check, a per-state dict walk instead of
-label arrays for the frontier compile, a per-entry decoder instead
+label arrays for the frontier compile, the given edge order doubled once
+per edge instead of the breadth-first compile placed bit by bit for the
+traces, a per-entry decoder instead
 of one flat conversion for amplitudes, a tree walk that emits text pieces
 instead of one string per value for canonical JSON, a per-state product of
 qubit factors instead of Kronecker products of lists or arrays) so agreement
@@ -48,7 +50,7 @@ from qrelnet import (
     singletons,
 )
 from qrelnet.classical import sum_in_order as prefix_sum
-from qrelnet.graphs import trace_lists
+from qrelnet.graphs import frontier_lists
 from qrelnet.operators import _split_table
 from qrelnet.serialize import _float_text
 
@@ -418,20 +420,34 @@ def int64_contraction(cm, left, right) -> list[list[int]]:
     return (left.T @ (scaled @ right)).tolist()
 
 
+def given_order_traces(g: Graph, u) -> tuple[list[int], list]:
+    """``(ids, finals)`` of ``frontier_lists`` on the edges in their given order, doubled once per edge.
+
+    The numbering of the compile that ``verify_split`` and
+    ``reliability_factorize`` run: ``finals[ids[state]]`` is the trace of
+    ``state`` on ``u``, as in ``trace_lists``, but the numbers may differ.
+    """
+    start, tables, finals = frontier_lists(g, u)
+    ids = [start]
+    for t0, t1 in tables:
+        ids = list(map(t0.__getitem__, ids)) + list(map(t1.__getitem__, ids))
+    return ids, finals
+
+
 def split_lists(cm, k: Graph, h: Graph, shared, union: Graph) -> tuple[list, list]:
     """The assembled and the direct operator of the glued graph, times ``cm.denominator``.
 
     Both are Python int lists over all ``2 ** |E|`` states of the union,
-    from the per-state compile of ``trace_lists``: the first is
+    from the given-order compile of ``given_order_traces``: the first is
     ``split_operator`` times the denominator, the second the denominator
     times ``qr_operator(union)``.
     """
-    k_ids, k_finals = trace_lists(k, shared)
-    h_ids, h_finals = trace_lists(h, shared)
+    k_ids, k_finals = given_order_traces(k, shared)
+    h_ids, h_finals = given_order_traces(h, shared)
     # Each k final state's entries over the h states, in h state order.
     rows = [list(map(row.__getitem__, h_ids)) for row in _split_table(cm, k_finals, h_finals)]
     assembled = list(itertools.chain.from_iterable(map(rows.__getitem__, k_ids)))
-    ids, finals = trace_lists(union, union.vertices[:1])
+    ids, finals = given_order_traces(union, union.vertices[:1])
     flags = [cm.denominator * (f is not None) for f in finals]
     return assembled, list(map(flags.__getitem__, ids))
 

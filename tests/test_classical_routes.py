@@ -15,8 +15,7 @@ from fractions import Fraction
 import pytest
 
 from qrelnet import Graph, classical, graphs, reliability_enumerate, reliability_factorize
-from qrelnet.classical import enumerate_flags
-from qrelnet.graphs import LIST_EDGES, component_traces
+from qrelnet.graphs import LIST_EDGES, MAX_EDGES
 
 from helpers import (
     edge_case_graphs,
@@ -97,17 +96,19 @@ def _multigraph(rng, num_vertices: int, num_edges: int) -> Graph:
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_list_route_matches_array_route_at_one_chunk(kind):
-    # 16 edges take the list route and 17 the array route, each checked
-    # against the array route called directly.
+def test_list_route_matches_array_route_at_one_chunk(kind, monkeypatch):
+    # 16 edges take the list route and 17 the array route by default; each
+    # is forced both ways through the gate and checked against the
+    # per-state loop.
     rng = random.Random(49)
     for num_edges in (LIST_EDGES, LIST_EDGES + 1):
         g = _multigraph(rng, 7, num_edges)
         probs = _probabilities(rng, num_edges, kind)
-        value = reliability_enumerate(g, probs)
-        ids, finals = component_traces(g, g.vertices[:1])
-        assert _same(value, enumerate_flags([f is not None for f in finals], ids, probs))
-        assert 0 < value < 1
+        expected = enumerate_oracle(g, probs)
+        for list_edges in (MAX_EDGES, -1):
+            monkeypatch.setattr(graphs, "LIST_EDGES", list_edges)
+            assert _same(reliability_enumerate(g, probs), expected)
+        assert 0 < expected < 1
 
 
 def test_exact_routes_agree_past_one_chunk():

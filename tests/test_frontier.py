@@ -4,10 +4,10 @@ Every all-states connectivity user (``qr_operator``, ``o_gamma_operator``,
 ``reliability_enumerate``) runs on the engine; the per-state breadth-first
 searches in ``helpers`` are the slow route it replaced.  The one compile,
 ``frontier_lists``, is checked table for table against the per-state dict
-walk of ``helpers``, and the breadth-first edge order that
-``component_traces`` compiles is checked against the given order of
-``trace_lists``, trace for trace.  Each splitting entry point compiles each
-side of its cut exactly once.
+walk of ``helpers``, and the breadth-first edge order that both trace forms
+compile is checked against the given order, trace for trace.  The list and
+the array form number the final states alike, whatever the file order.
+Each splitting entry point compiles each side of its cut exactly once.
 """
 
 import random
@@ -41,6 +41,7 @@ from helpers import (
     edge_case_graphs,
     enumerate_oracle,
     frontier_tables_oracle,
+    given_order_traces,
     horizontal_first_grid,
     random_graph,
     random_state,
@@ -105,21 +106,23 @@ def test_frontier_tables_equal_the_per_state_compile():
 
 
 def test_component_traces_equal_the_given_order_compile():
-    # component_traces compiles a breadth-first edge order and trace_lists
-    # the given one: their numbers may differ, never their traces.
+    # Both forms compile a breadth-first edge order and number the final
+    # states alike; the given order may number them otherwise, never trace
+    # a state otherwise.
     for g, u in _compile_cases(30):
         order = _breadth_first_order(g)
         assert sorted(order) == list(range(g.num_edges))
         ids, finals = component_traces(g, u)
-        expected_ids, expected_finals = trace_lists(g, u)
         assert ids.dtype == np.int32
+        assert trace_lists(g, u) == (ids.tolist(), finals)
+        expected_ids, expected_finals = given_order_traces(g, u)
         assert [finals[i] for i in ids.tolist()] == [expected_finals[i] for i in expected_ids]
 
 
 @pytest.mark.parametrize("num_edges", [15, 16, 17])
 def test_traces_give_the_same_traces_in_both_forms(num_edges, monkeypatch):
-    # graphs.traces picks lists or arrays by one gate; forced each way, the
-    # numbers may differ, never the trace of any state.
+    # graphs.traces picks lists or arrays by one gate; forced each way, it
+    # gives the same number, and so the same trace, to every state.
     rng = random.Random(num_edges)
     g = random_graph(rng, 8, num_edges, min_vertices=8, min_edges=num_edges)
     u = rng.sample(g.vertices, 3)
@@ -129,9 +132,64 @@ def test_traces_give_the_same_traces_in_both_forms(num_edges, monkeypatch):
         monkeypatch.setattr(qrelnet.graphs, "LIST_EDGES", list_edges)
         ids, finals = traces(g, u)
         assert isinstance(ids, list) == (list_edges == MAX_EDGES)
-        seen.append([finals[i] for i in (ids if isinstance(ids, list) else ids.tolist())])
+        seen.append((ids if isinstance(ids, list) else ids.tolist(), finals))
     assert seen[0] == seen[1]
-    assert len(set(seen[0])) > 2
+    assert len(set(seen[0][0])) > 2
+
+
+def _stray_multigraph(rng, num_edges: int) -> Graph:
+    """Random multigraph of ``num_edges`` edges with a loop, a parallel edge and, at odd counts, a stray vertex.
+
+    The stray has no edge: isolated if kept, stranding every state if not.
+    """
+    vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
+    edges = [tuple(rng.choices(vertices, k=2)) for _ in range(num_edges)]
+    if num_edges >= 2:
+        edges[rng.randrange(num_edges)] = (vertices[0], vertices[0])
+        edges[rng.randrange(num_edges)] = rng.choice(edges)
+    return Graph(tuple(vertices) + ("stray",) * (num_edges % 2), tuple(edges))
+
+
+def _kept_sets(rng, g: Graph):
+    """No vertex, the first, a random subset and every vertex."""
+    return (), g.vertices[:1], [v for v in g.vertices if rng.random() < 0.5], g.vertices
+
+
+def test_trace_lists_is_component_traces_as_lists():
+    rng = random.Random(32)
+    for num_edges in range(18):
+        for _ in range(3):
+            g = _stray_multigraph(rng, num_edges)
+            for u in _kept_sets(rng, g):
+                ids, finals = component_traces(g, u)
+                assert trace_lists(g, u) == (ids.tolist(), finals)
+
+
+def _doublings(order: list[int]) -> set[str]:
+    """Which way ``trace_lists`` places each edge of ``order``: whole blocks, or strided slices."""
+    kinds = set()
+    for j, k in enumerate(order):
+        block = 1 << sum(i < k for i in order[:j])
+        kinds.add("blocks" if block * block >= 1 << j else "strided")
+    return kinds
+
+
+def test_trace_lists_is_component_traces_as_lists_in_any_file_order():
+    # Shuffled, reversed and reversed breadth-first file orders put each
+    # edge's table on a bit below, between and above the edges placed so far.
+    rng = random.Random(34)
+    kinds = set()
+    for g in [horizontal_first_grid(3, 4), horizontal_first_grid(2, 6), scrambled_k6(),
+              *(_stray_multigraph(rng, n) for n in (9, 12, 16, 17))]:
+        shuffled = rng.sample(g.edges, len(g.edges))
+        breadth_first = [g.edges[k] for k in _breadth_first_order(g)]
+        for edges in (shuffled, g.edges[::-1], breadth_first[::-1]):
+            h = Graph(g.vertices, tuple(edges))
+            kinds |= _doublings(_breadth_first_order(h))
+            for u in _kept_sets(rng, h):
+                ids, finals = component_traces(h, u)
+                assert trace_lists(h, u) == (ids.tolist(), finals)
+    assert kinds == {"blocks", "strided"}
 
 
 def test_the_breadth_first_order_narrows_a_horizontal_first_grid():

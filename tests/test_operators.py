@@ -36,13 +36,14 @@ from qrelnet import (
     union_graph,
     verify_split,
 )
-from qrelnet.graphs import component_traces, trace_lists
+from qrelnet.graphs import component_traces
 from qrelnet.operators import _quotient_rows, _split_table, _split_weights
 from qrelnet.partitions import ConnectivityMatrix
 from helpers import (
     bfs_is_connected,
     bfs_trace,
     closure_merge,
+    given_order_traces,
     int64_contraction,
     random_graph,
     random_probabilities,
@@ -397,10 +398,11 @@ def test_verify_split_catches_one_wrong_entry_that_few_states_reach(monkeypatch,
     # (a, b) that the fewest edge states reach: the product walk must still
     # land on it.  A whole denominator keeps split_operator's entries integers.
     # The final states are numbered as verify_split numbers them: by the
-    # compile in the given edge order, which trace_lists runs.
+    # compile in the given edge order, not the breadth-first one of the
+    # trace passes.
     k, h, shared = random_split(random.Random(300 + num_edges), num_shared, 2, num_edges,
                                 min_total_edges=num_edges)
-    k_ids, h_ids = (trace_lists(g, shared)[0] for g in (k, h))
+    k_ids, h_ids = (given_order_traces(g, shared)[0] for g in (k, h))
     hits = np.outer(np.bincount(k_ids), np.bincount(h_ids))
     a, b = min(zip(*np.nonzero(hits)), key=lambda ab: hits[ab])
     assert 16 * hits[a, b] <= hits.sum()
