@@ -1,13 +1,13 @@
 """All-terminal reliability of multigraphs with independent edge failures.
 
 Two routes to the same number, both over the one frontier compile of
-:mod:`qrelnet.graphs`, :func:`~qrelnet.graphs.frontier_lists`: an
-enumeration of the connected edge states, and the deletion/contraction
-recursion run as a dynamic program over frontier states.  The enumeration
-weighs the trace ids of :func:`~qrelnet.graphs.traces`, compiled in a
-breadth-first edge order: Python lists while its ``2 ** |E|`` states fit
-one chunk, arrays weighed in chunks past that.  The factor route walks
-the Python-list tables in the given edge order, which its float bits
+:mod:`qrelnet.graphs`: an enumeration of the connected edge states, and
+the deletion/contraction recursion run as a dynamic program over frontier
+states.  The enumeration weighs the :func:`~qrelnet.graphs.traces` ids,
+lists up to ``graphs.LIST_EDGES`` edges, arrays in chunks past that,
+by :func:`weigh_rows`, the one flagged sum over edge states, which adds
+Born weights for ``qr``, ``hybrid`` and ``sublayer`` too.  The factor
+route walks the list tables in the given edge order, which its float bits
 follow.  numpy loads only in the functions that build arrays.  Both
 accept floats or exact rationals; with ``fractions.Fraction``
 probabilities every intermediate stays exact.
@@ -15,10 +15,9 @@ probabilities every intermediate stays exact.
 
 from __future__ import annotations
 
-import operator
+from collections import deque
 from fractions import Fraction
-from functools import reduce
-from itertools import compress
+from itertools import accumulate, compress
 from math import prod
 
 from .errors import QrelnetError, WidthMismatchError
@@ -71,72 +70,85 @@ def _factors(probs) -> tuple[list[tuple], int | None]:
 def reliability_enumerate(g: Graph, probs):
     """Probability that the surviving edges connect all vertices, by enumeration.
 
-    Weighs, by :func:`weigh_rows`, the edge states whose trace on one kept
-    vertex, from :func:`~qrelnet.graphs.traces`, leaves no island.
+    Weighs, by :func:`bernoulli_rows`, the edge states whose trace on one
+    kept vertex, from :func:`~qrelnet.graphs.traces`, leaves no island.
     """
     probs = _validate_probabilities(g, probs)
     ids, finals = traces(g, g.vertices[:1])
-    return weigh_rows([[f is not None for f in finals]], ids, probs)[0]
+    return bernoulli_rows([[f is not None for f in finals]], ids, probs)[0]
 
 
-def weigh_rows(rows, ids, probs) -> list:
-    """Total Bernoulli weight, per row, of the edge states ``s`` with ``row[ids[s]]`` true.
+def bernoulli_rows(rows, ids, probs) -> list:
+    """:func:`weigh_rows` of the Bernoulli weights of ``probs``, already checked.
 
-    ``ids`` has one entry per state of ``len(probs)`` edges, edge ``k`` on
-    bit ``k``, each row one entry per final state, and ``probs`` are
-    already checked.  Each weight is the product of its edges'
-    :func:`_factors` in edge order, and each row's are added in state order,
-    floats by :func:`sum_in_order`, so both forms give the bits of the
-    plain per-state loop.  List weights double once per edge.  Array
-    ``ids`` are walked in chunks of ``2 ** CHUNK_BITS`` states, each row
-    gathering one table of the low edges' weights, the high edges' factors
-    following.  Exact when every probability is an ``int`` or ``Fraction``,
-    float otherwise.
+    A state weighs its edges' :func:`_factors` multiplied in edge order:
+    list ``ids`` one table doubled over every edge, array ``ids`` one of the
+    low ``CHUNK_BITS`` edges and the high edges' pairs.  Exact when every
+    probability is an ``int`` or ``Fraction``, float otherwise.
     """
     factors, denominator = _factors(probs)
     exact = denominator is not None
     if isinstance(ids, list):
-        weights = [1 if exact else 1.0]
+        low = len(factors)
+        table = [1 if exact else 1.0]
         for absent, present in factors:
-            weights = [w * absent for w in weights] + [w * present for w in weights]
-        kept = [compress(weights, map(row.__getitem__, ids)) for row in rows]
-        if not exact:
-            return list(map(sum_in_order, kept))
-        return [Fraction(sum(k), denominator) for k in kept]
+            table = [w * absent for w in table] + [w * present for w in table]
+    else:
+        import numpy as np
+
+        low = min(len(factors), CHUNK_BITS)
+        table = np.ones(1, dtype=object if exact else float)
+        for absent, present in factors[:low]:
+            table = np.concatenate((table * absent, table * present))
+    totals = weigh_rows(rows, ids, table, factors[low:], 0 if exact else 0.0)
+    return [Fraction(t, denominator) for t in totals] if exact else totals
+
+
+def weigh_rows(rows, ids, weights, high=(), zero=0.0) -> list:
+    """Total weight, per row, of the edge states ``s`` with ``row[ids[s]]`` true.
+
+    State ``s`` weighs ``weights[s % len(weights)]`` times, in edge order,
+    one factor of each ``high`` pair, picked by the bits of ``s //
+    len(weights)``: a Born vector comes alone, a Bernoulli table of the low
+    edges with the high edges' pairs.  Each row adds its flagged weights
+    from ``zero`` in state order by :func:`sum_in_order`, which for weights
+    of at least +0.0 has the bits of the plain loop over every state.  List
+    ``ids`` take the whole table; array ``ids`` are walked in chunks of
+    ``2 ** CHUNK_BITS`` states, each row selecting before multiplying.
+    """
+    if isinstance(ids, list):
+        return [sum_in_order(compress(weights, map(row.__getitem__, ids)), zero) for row in rows]
     import numpy as np
 
-    table = np.ones(1, dtype=object if exact else float)
-    low = min(len(factors), CHUNK_BITS)
-    # table[s] is the weight of the low edges in state s, multiplied in edge order.
-    for absent, present in factors[:low]:
-        table = np.concatenate((table * absent, table * present))
-    totals = []
-    for row in rows:
-        row = np.array(row, dtype=bool)
-        total = 0 if exact else 0.0
-        for start in range(0, ids.size, table.size):
-            w = table[row.take(ids[start : start + table.size])]
-            high = start >> low
-            for i, pair in enumerate(factors[low:]):
-                w = w * pair[high >> i & 1]
-            total = total + int(w.sum()) if exact else sum_in_order(w, total)
-        totals.append(Fraction(total, denominator) if exact else total)
+    rows = [np.array(row, dtype=bool) for row in rows]
+    totals = [zero] * len(rows)
+    size = len(weights)
+    step = min(1 << CHUNK_BITS, size)
+    for start in range(0, ids.size, step):
+        chunk = ids[start : start + step]
+        block = weights[start % size : start % size + step]
+        factors = [pair[start // size >> i & 1] for i, pair in enumerate(high)]
+        for r, row in enumerate(rows):
+            w = block[row.take(chunk)]
+            for f in factors:
+                w *= f
+            totals[r] = sum_in_order(w, totals[r])
     return totals
 
 
 def sum_in_order(values, start: float = 0.0) -> float:
-    """``start`` plus a sequence of floats, added strictly left to right.
+    """``start`` plus a sequence of numbers, added strictly left to right.
 
-    A Python list or iterator is folded with ``operator.add`` (not ``sum``,
-    which compensates its float additions since Python 3.12), with no numpy.
-    A numpy array is prefix-summed by ``np.add.accumulate`` in chunks of
-    ``2 ** CHUNK_BITS``, carrying the running total, so no copy of the whole
-    array is made.  Neither reorders, unlike ``np.dot``, ``np.sum`` or
-    ``sum``, so the result has the plain loop's bits on any machine and
-    thread count, and the two routes give the same bits.
+    A float64 array is prefix-summed by ``np.add.accumulate`` in chunks of
+    ``2 ** CHUNK_BITS``, carrying the running total, so no copy of the
+    whole array is made.  Anything else, such as a list, an iterator or an
+    object array of exact ints, is folded by ``itertools.accumulate``, so
+    exact numbers stay exact (``sum`` compensates float additions since
+    Python 3.12).  Neither reorders, unlike ``np.dot``, ``np.sum`` or ``sum``, so
+    the result has the plain loop's bits on any machine and thread count.
     """
-    if not hasattr(values, "dtype"):
-        return reduce(operator.add, values, start)
+    if getattr(values, "dtype", None) != "float64":
+        return deque(accumulate(values, initial=start), maxlen=1).pop()
     import numpy as np
 
     step = 1 << CHUNK_BITS

@@ -14,10 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import check_probabilities, reliability_enumerate, sum_in_order, weigh_rows
+from .classical import bernoulli_rows, check_probabilities, reliability_enumerate, sum_in_order, weigh_rows
 from .errors import QrelnetError, Record, SublayerError, WidthMismatchError
 from .graphs import Graph
-from .operators import quantum_reliability, quotient_values, split_sides, split_sum, split_terms, union_graph
+from .operators import quantum_reliability, split_sides, split_sum, split_terms, union_graph
 from .partitions import Partition, single_block, singletons
 
 # The CLI's tagged-graph parser imports this module, so the state module,
@@ -91,7 +91,7 @@ def _check_inputs(decomp: Decomposition, state: HybridState) -> None:
 def _quotient_reliabilities(decomp: Decomposition, state: HybridState):
     """The weights and the quantum and classical reliability of every quotient."""
     cm, k_side, h_side = split_sides(decomp.quantum, decomp.classical, decomp.shared)
-    return cm, quotient_values(k_side, state.quantum), list(map(float, weigh_rows(*h_side, state.classical)))
+    return cm, weigh_rows(*k_side, state.quantum.weights), list(map(float, bernoulli_rows(*h_side, state.classical)))
 
 
 def hybrid_qr(decomp: Decomposition, state: HybridState) -> float:

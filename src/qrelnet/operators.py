@@ -10,11 +10,10 @@ weights are the inverse connectivity matrix of the shared vertex set.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import sum_in_order
+from .classical import sum_in_order, weigh_rows
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
 from .graphs import Graph, component_traces, frontier_lists, traces
 from .partitions import ConnectivityMatrix, Partition, connectivity_matrix, contract
@@ -56,20 +55,19 @@ def qr_value(op, psi: StateVector) -> float:
     size = (1 << psi.num_edges,)
     if op.shape != size:
         raise WidthMismatchError(f"operator has shape {op.shape}, state has {size}")
-    return sum_in_order(op.astype(float) * psi.probabilities())
+    return sum_in_order(op.astype(float) * psi.weights)
 
 
 def quantum_reliability(g: Graph, psi: StateVector) -> float:
     """``qr_value(qr_operator(g), psi)``, to the same bits.
 
-    :func:`quotient_values` of the one row that flags the edge states whose
-    trace on one kept vertex, from :func:`~qrelnet.graphs.traces`, leaves
-    no island.
+    The Born weights ``psi.weights``, by :func:`~qrelnet.classical.weigh_rows`,
+    of the states whose :func:`~qrelnet.graphs.traces` leave no island.
     """
     if psi.num_edges != g.num_edges:
         raise WidthMismatchError(f"state spans {psi.num_edges} edges, graph has {g.num_edges}")
     ids, finals = traces(g, g.vertices[:1])
-    return quotient_values(([[f is not None for f in finals]], ids), psi)[0]
+    return weigh_rows([[f is not None for f in finals]], ids, psi.weights)[0]
 
 
 def o_gamma_operator(h: Graph, u, gamma: Partition) -> np.ndarray:
@@ -139,24 +137,6 @@ def split_sides(k: Graph, h: Graph, shared):
     """Check the cut; return ``(cm, k_side, h_side)``, one :func:`quotient_side` each."""
     _, cm = _split_weights(k, h, shared)
     return cm, quotient_side(k, shared, cm), quotient_side(h, shared, cm)
-
-
-def quotient_values(side, psi: StateVector) -> list[float]:
-    """``qr_value`` on ``psi`` of every quotient in a ``(rows, ids)`` side, to the same bits.
-
-    Each row's flagged Born weights are added in state order: on a list side
-    from ``psi.weights``, with no numpy; on an array side from one
-    ``psi.probabilities()`` for all the rows.  The weights are finite and
-    at least +0.0, so leaving out the unflagged ones, as both do, keeps the
-    bits of ``qr_value``, which adds them as +0.0 to a total never -0.0.
-    """
-    rows, ids = side
-    if isinstance(ids, list):
-        return [sum_in_order(compress(psi.weights, map(row.__getitem__, ids))) for row in rows]
-    import numpy as np
-
-    weights = psi.probabilities()
-    return [sum_in_order(weights[np.array(row, dtype=bool).take(ids)]) for row in rows]
 
 
 def split_terms(cm: ConnectivityMatrix, left, right) -> list[tuple[int, int, int, float]]:
@@ -243,7 +223,7 @@ def qr_split_value(k: Graph, h: Graph, shared, psi_k: StateVector, psi_h: StateV
         if psi.num_edges != g.num_edges:
             raise WidthMismatchError(f"state spans {psi.num_edges} edges, graph has {g.num_edges}")
     cm, k_side, h_side = split_sides(k, h, shared)
-    return split_sum(cm, quotient_values(k_side, psi_k), quotient_values(h_side, psi_h))
+    return split_sum(cm, weigh_rows(*k_side, psi_k.weights), weigh_rows(*h_side, psi_h.weights))
 
 
 class BornEstimate(NamedTuple):
@@ -269,7 +249,7 @@ def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
     if seed < 0:
         raise QrelnetError(f"seed must be non-negative, got {seed}", code="invalid_input")
     rng = np.random.default_rng(seed)
-    probs = psi.probabilities()
+    probs = np.asarray(psi.weights)
     cdf = np.cumsum(probs)
     # The estimate counts flags, so the draws' order is free; sorted draws
     # walk the cumulative table in one direction.

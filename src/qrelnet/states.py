@@ -10,9 +10,9 @@ Every complex product is ``(ac - bd, ad + bc)`` and every Born weight is
 summed in state order by :func:`~qrelnet.classical.sum_in_order`.  Python
 floats do the same operations bit for bit, and no numpy loop can fuse or
 reorder them, so no printed value depends on the SIMD code numpy picks for
-the CPU.  A state whose edges :func:`~qrelnet.graphs.in_lists` holds in
-lists is built, checked and weighed in Python float lists, with no numpy; a
-larger one holds two float64 arrays, and numpy loads there.
+the CPU.  A state of :func:`~qrelnet.graphs.in_lists` edges is built in
+Python float lists, with no numpy, a larger one in float64 arrays; either
+way its Born weights are computed once, and every consumer reads them.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ NORM_TOL = 1e-10
 class StateVector(Record):
     """Unit-norm complex amplitudes over the edge-configuration basis.
 
-    A state holds its real and imaginary parts: two Python float lists
-    where ``in_lists(num_edges)``, with its Born weights as a third,
-    ``weights``; two float64 arrays past that, with ``weights`` ``None``.
-    ``amplitudes`` is the read-only complex128 array either way, built from
-    the parts on first read.  States compare by identity.
+    A state holds its real and imaginary parts and its Born weights,
+    ``weights``, computed once: three Python float lists where
+    ``in_lists(num_edges)``; two float64 arrays and a read-only one past
+    that.  ``amplitudes`` is the read-only complex128 array either way,
+    built from the parts on first read.  States compare by identity.
     """
 
     _fields = ("num_edges", "amplitudes")
@@ -71,12 +71,8 @@ class StateVector(Record):
         return state
 
     def _init(self, num_edges: int, re, im) -> None:
-        if isinstance(re, list):
-            weights = [x * x + y * y for x, y in zip(re, im)]
-            norm_sq = sum_in_order(weights)
-        else:
-            weights = None
-            norm_sq = sum_in_order(_born(re, im))
+        weights = _born(re, im)
+        norm_sq = sum_in_order(weights)
         # A huge finite amplitude squares to inf, so only the parts tell "not finite".
         if not isfinite(norm_sq) and not _finite(re, im):
             raise QrelnetError("amplitudes must be finite", code="invalid_state")
@@ -96,15 +92,15 @@ class StateVector(Record):
         return self._array
 
     def probabilities(self) -> np.ndarray:
-        """Born weights of the basis states, ``re * re + im * im``."""
-        if self.weights is None:
-            return _born(*self._parts)
+        """Born weights of the basis states, ``re * re + im * im``, as a new float64 array."""
         import numpy as np
 
         return np.array(self.weights)
 
 
-def _born(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def _born(re, im):
+    if isinstance(re, list):
+        return [x * x + y * y for x, y in zip(re, im)]
     import numpy as np
 
     step = 1 << CHUNK_BITS  # im * im a chunk at a time, so no second full-size array is made
@@ -112,6 +108,7 @@ def _born(re: np.ndarray, im: np.ndarray) -> np.ndarray:
         weights = re * re
         for i in range(0, weights.size, step):
             weights[i : i + step] += im[i : i + step] * im[i : i + step]
+    weights.flags.writeable = False
     return weights
 
 

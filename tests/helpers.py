@@ -7,7 +7,9 @@ Moebius closed form, rational loops instead of integer products, a per-state
 loop and the plain deletion/contraction recursion instead of vectorized
 enumeration and the frontier dynamic program, one quotient graph per
 partition instead of one frontier pass per side, int64 matrix products
-instead of packed-int sums for the split contraction, both split operators
+instead of packed-int sums for the split contraction, one masked copy of
+the whole Born vector per quotient row instead of chunks walked with the
+rows inside, both split operators
 over every edge state instead of the reachable product states of three
 frontier automata for the split check, a per-state dict walk instead of
 label arrays for the frontier compile, the given edge order doubled once
@@ -392,6 +394,21 @@ def quotient_loop(g: Graph, shared, value) -> list:
     time.
     """
     return [value(quotient(g, shared, p)) for p in enumerate_partitions(shared)]
+
+
+def quotient_values_oracle(side, psi: StateVector) -> list[float]:
+    """``qr_value`` on ``psi`` of every quotient in a ``(rows, ids)`` side, to the same bits.
+
+    The Born-weight route that ``classical.weigh_rows`` replaced.  Each
+    row's flagged Born weights are added in state order: on a list side
+    from ``psi.weights``; on an array side from one ``psi.probabilities()``
+    for all the rows, masked whole by each row.
+    """
+    rows, ids = side
+    if isinstance(ids, list):
+        return [prefix_sum(itertools.compress(psi.weights, map(row.__getitem__, ids))) for row in rows]
+    weights = psi.probabilities()
+    return [prefix_sum(weights[np.array(row, dtype=bool).take(ids)]) for row in rows]
 
 
 def split_terms_oracle(shared, left, right) -> list[tuple]:

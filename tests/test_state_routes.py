@@ -9,6 +9,9 @@ state order.  So:
   every ``__cpu_dispatch__`` entry disabled;
 - ``probabilities()`` and ``product_state`` equal a per-entry Python-float
   oracle bit for bit;
+- a state holds its Born weights once, ``weights``: a float list on the
+  list route, a read-only float64 array on the array route, and
+  ``probabilities()`` is a new writable copy of them;
 - a state of at most ``graphs.LIST_EDGES`` edges, built and weighed in
   Python lists, prints what the array route prints, on both sides of the
   gate, and a state that is not normalized fails with the same message on
@@ -153,6 +156,15 @@ def _bits(values) -> list[int]:
     return np.array(values, dtype=np.float64).view(np.uint64).tolist()
 
 
+def _assert_form(psi, lists: bool) -> None:
+    """``psi.weights`` is a float list if ``lists``, else a read-only float64 array."""
+    if lists:
+        assert type(psi.weights) is list and all(type(w) is float for w in psi.weights)
+    else:
+        assert isinstance(psi.weights, np.ndarray) and psi.weights.dtype == np.float64
+        assert not psi.weights.flags.writeable
+
+
 def _take(monkeypatch, route: str) -> None:
     """Send every state, and every side of a split, down the named route, whatever its size."""
     monkeypatch.setattr(graphs, "LIST_EDGES", states.MAX_EDGES if route == "lists" else -1)
@@ -170,17 +182,35 @@ def test_product_state_and_its_born_weights_round_once_per_operation(route):
         specs = [QubitSpec(rng.random(), complex(*_phase(rng))) for _ in range(n)]
         specs[0] = QubitSpec(specs[0].p)  # the default phase, 1
         psi = product_state(specs)
-        assert (psi.weights is None) == (route == "arrays")
+        _assert_form(psi, route == "lists")
         oracle = product_amplitudes_oracle(specs)
         assert _bits(psi.amplitudes.real) == _bits([re for re, _ in oracle])
         assert _bits(psi.amplitudes.imag) == _bits([im for _, im in oracle])
         assert _bits(psi.probabilities()) == _bits(born_oracle(complex(*z) for z in oracle))
+        assert _bits(psi.weights) == _bits(psi.probabilities())
 
 
 def test_probabilities_round_once_per_operation(route):
     for n, seed in ((0, 1), (3, 2), (10, 3)):
         psi = StateVector(n, random_state(n, seed).amplitudes)
         assert _bits(psi.probabilities()) == _bits(born_oracle(psi.amplitudes.tolist()))
+
+
+def test_weights_are_read_only_and_probabilities_a_new_writable_copy(route):
+    for n, seed in ((0, 4), (3, 5), (10, 6)):
+        psi = StateVector(n, random_state(n, seed).amplitudes)
+        _assert_form(psi, route == "lists")
+        before = _bits(psi.weights)
+        if route == "arrays":
+            with pytest.raises(ValueError, match="read-only"):
+                psi.weights[0] = 0.5
+        with pytest.raises(AttributeError, match="cannot assign"):
+            psi.weights = [1.0] * (1 << n)
+        probs = psi.probabilities()
+        assert probs.dtype == np.float64 and probs.flags.writeable
+        assert probs is not psi.weights and _bits(probs) == before
+        probs[:] = 0.25
+        assert _bits(psi.weights) == before == _bits(psi.probabilities())
 
 
 def test_array_tensor_products_have_the_bits_of_whole_outer_products():
@@ -239,12 +269,12 @@ def test_the_gate_is_list_edges(tmp_path):
     for n in (LIST_EDGES, LIST_EDGES + 1):
         rng = random.Random(n)
         psi = product_state(QubitSpec(rng.random(), complex(*_phase(rng))) for _ in range(n))
-        assert (psi.weights is None) == (n > LIST_EDGES)
+        _assert_form(psi, n <= LIST_EDGES)
 
 
 def test_quantum_reliability_rejects_a_state_of_another_width(route):
     g = Graph(("a", "b"), (("a", "b"), ("a", "b")))
     psi = product_state([QubitSpec(0.5)] * 3)
-    assert (psi.weights is None) == (route == "arrays")
+    _assert_form(psi, route == "lists")
     with pytest.raises(WidthMismatchError, match="state spans 3 edges, graph has 2"):
         quantum_reliability(g, psi)
