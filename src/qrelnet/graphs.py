@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 # 2**24 basis states is the largest dense vector this package will touch.
 MAX_EDGES = 24
 # Up to this many edges the 2 ** |E| edge states, their traces and their
-# weights are Python lists, which need no numpy; past it they are numpy
+# weights are Python lists and tuples, which need no numpy; past it numpy
 # arrays, since lists would cost several times their time and memory.
 LIST_EDGES = 16
 

@@ -150,37 +150,25 @@ def split_sum(cm: ConnectivityMatrix, left, right) -> float:
     return sum_in_order([term[3] for term in split_terms(cm, left, right)])
 
 
-def _split_table(cm: ConnectivityMatrix, k_finals, h_finals) -> list[list[int]]:
-    """The splitting sum times ``cm.denominator`` on every pair of final states.
-
-    ``table[a][b]`` sums ``k_rows[i][a] * scaled[i][j] * h_rows[j][b]`` over
-    ``(i, j)``, with ``k_rows`` and ``h_rows`` the :func:`_quotient_rows` of
-    the two sides' final traces: the assembled operator times the
-    denominator on every state pair whose final states are ``a`` and ``b``.
-    """
-    return contract(cm, _quotient_rows(cm, k_finals), _quotient_rows(cm, h_finals))
-
-
 def split_operator(k: Graph, h: Graph, shared) -> np.ndarray:
     """Reliability operator of the glued network, assembled from quotients.
 
     Computes ``sum over (gamma, gamma') of beta[gamma][gamma'] *
-    QR(k/gamma) (x) QR(h/gamma')`` exactly: :func:`_split_table` contracts
-    beta, scaled to a common denominator, over the final states of the two
-    frontier passes; that small table is divided by the denominator, and
-    every state pair gathers its entry.  The result acts on the union's
-    edge order: ``h`` low bits, ``k`` high bits.
+    QR(k/gamma) (x) QR(h/gamma')`` exactly: ``partitions.contract`` sums
+    beta, scaled to a common denominator, over the quotient rows of the two
+    :func:`split_sides`; that small table of final-state pairs is divided
+    by the denominator, and every state pair gathers its entry.  The result
+    acts on the union's edge order: ``h`` low bits, ``k`` high bits.
     """
-    _, cm = _split_weights(k, h, shared)
+    cm, (k_rows, k_ids), (h_rows, h_ids) = split_sides(k, h, shared)
     import numpy as np
 
-    k_ids, k_finals = component_traces(k, shared)
-    h_ids, h_finals = component_traces(h, shared)
-    table = np.array(_split_table(cm, k_finals, h_finals), dtype=np.int64)
+    table = np.array(contract(cm, k_rows, h_rows), dtype=np.int64)
     whole, rest = np.divmod(table, cm.denominator)
     if rest.any():
         whole = np.array([[Fraction(x, cm.denominator) for x in row] for row in table.tolist()], dtype=object)
-    # Row sk, column sh is state sk * 2^|E_h| + sh, so flattening keeps k-major order.
+    # Row sk, column sh is state sk * 2^|E_h| + sh; intp ids, no lists, are held at the gather.
+    k_ids, h_ids = np.asarray(k_ids, dtype=np.intp), np.asarray(h_ids, dtype=np.intp)
     return _frozen(whole[k_ids[:, None], h_ids].reshape(-1))
 
 
@@ -192,16 +180,17 @@ def verify_split(k: Graph, h: Graph, shared) -> bool:
     edges, ``h``'s first, and keeps the reachable tuples of their states.
     Every edge state ends in one triple ``(union final, h final b, k final
     a)``, and every such triple comes from some state, so the splitting
-    holds on every state exactly when ``table[a][b]`` of
-    :func:`_split_table` is the denominator on the triples whose union
-    final is connected and 0 on the others.  After ``t`` edges at most
+    holds on every state exactly when ``table[a][b]``, beta times the
+    denominator contracted over the :func:`_quotient_rows` of the finals
+    ``a`` and ``b``, is the denominator on the triples whose union final
+    is connected and 0 on the others.  After ``t`` edges at most
     ``2 ** t`` tuples are held, never the ``2 ** |E|`` states.
     """
     union, cm = _split_weights(k, h, shared)
     k_start, k_tables, k_finals = frontier_lists(k, shared)
     h_start, h_tables, h_finals = frontier_lists(h, shared)
     u_start, u_tables, u_finals = frontier_lists(union, union.vertices[:1])
-    table = _split_table(cm, k_finals, h_finals)
+    table = contract(cm, _quotient_rows(cm, k_finals), _quotient_rows(cm, h_finals))
     pairs = {(u_start, h_start)}
     for (u0, u1), (h0, h1) in zip(u_tables, h_tables):
         pairs = {(u0[u], h0[b]) for u, b in pairs} | {(u1[u], h1[b]) for u, b in pairs}

@@ -35,7 +35,7 @@ class StateVector(Record):
     """Unit-norm complex amplitudes over the edge-configuration basis.
 
     A state holds its real and imaginary parts and its Born weights,
-    ``weights``, computed once: three Python float lists where
+    ``weights``, computed once: two Python float lists and a tuple where
     ``in_lists(num_edges)``; two float64 arrays and a read-only one past
     that.  ``amplitudes`` is the read-only complex128 array either way,
     built from the parts on first read.  States compare by identity.
@@ -100,7 +100,7 @@ class StateVector(Record):
 
 def _born(re, im):
     if isinstance(re, list):
-        return [x * x + y * y for x, y in zip(re, im)]
+        return tuple([x * x + y * y for x, y in zip(re, im)])
     import numpy as np
 
     step = 1 << CHUNK_BITS  # im * im a chunk at a time, so no second full-size array is made

@@ -52,8 +52,9 @@ from qrelnet import (
     singletons,
 )
 from qrelnet.classical import sum_in_order as prefix_sum
-from qrelnet.graphs import frontier_lists
-from qrelnet.operators import _split_table
+from qrelnet.graphs import component_traces, frontier_lists
+from qrelnet.operators import _quotient_rows, _split_weights
+from qrelnet.partitions import contract
 from qrelnet.serialize import _float_text
 
 
@@ -451,6 +452,29 @@ def given_order_traces(g: Graph, u) -> tuple[list[int], list]:
     return ids, finals
 
 
+def split_table(cm, k_finals, h_finals) -> list[list[int]]:
+    """The splitting sum times ``cm.denominator`` on every pair of final states ``(a, b)`` of the two sides."""
+    return contract(cm, _quotient_rows(cm, k_finals), _quotient_rows(cm, h_finals))
+
+
+def split_operator_oracle(k: Graph, h: Graph, shared) -> np.ndarray:
+    """``split_operator`` as it was built before ``split_sides``: ``component_traces`` arrays on both sides.
+
+    Contracts the weights over the two sides' final traces, divides that
+    table by the denominator and gathers every state pair's entry.
+    """
+    _, cm = _split_weights(k, h, shared)
+    k_ids, k_finals = component_traces(k, shared)
+    h_ids, h_finals = component_traces(h, shared)
+    table = np.array(split_table(cm, k_finals, h_finals), dtype=np.int64)
+    whole, rest = np.divmod(table, cm.denominator)
+    if rest.any():
+        whole = np.array([[Fraction(x, cm.denominator) for x in row] for row in table.tolist()], dtype=object)
+    op = whole[k_ids[:, None], h_ids].reshape(-1)
+    op.flags.writeable = False
+    return op
+
+
 def split_lists(cm, k: Graph, h: Graph, shared, union: Graph) -> tuple[list, list]:
     """The assembled and the direct operator of the glued graph, times ``cm.denominator``.
 
@@ -462,7 +486,7 @@ def split_lists(cm, k: Graph, h: Graph, shared, union: Graph) -> tuple[list, lis
     k_ids, k_finals = given_order_traces(k, shared)
     h_ids, h_finals = given_order_traces(h, shared)
     # Each k final state's entries over the h states, in h state order.
-    rows = [list(map(row.__getitem__, h_ids)) for row in _split_table(cm, k_finals, h_finals)]
+    rows = [list(map(row.__getitem__, h_ids)) for row in split_table(cm, k_finals, h_finals)]
     assembled = list(itertools.chain.from_iterable(map(rows.__getitem__, k_ids)))
     ids, finals = given_order_traces(union, union.vertices[:1])
     flags = [cm.denominator * (f is not None) for f in finals]

@@ -225,5 +225,5 @@ def test_every_split_runs_one_frontier_pass_per_side(monkeypatch):
     for name, run in runs.items():
         calls.clear()
         run()
-        # component_traces compiles each side in its own edge order.
+        # The breadth-first compile of traces runs each side in its own edge order.
         assert calls == [sorted(k.edges), sorted(h.edges)], name

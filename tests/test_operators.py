@@ -37,7 +37,7 @@ from qrelnet import (
     verify_split,
 )
 from qrelnet.graphs import component_traces
-from qrelnet.operators import _quotient_rows, _split_table, _split_weights
+from qrelnet.operators import _quotient_rows, _split_weights
 from qrelnet.partitions import ConnectivityMatrix
 from helpers import (
     bfs_is_connected,
@@ -52,6 +52,7 @@ from helpers import (
     rejection,
     split_diag_fraction_loop,
     split_lists,
+    split_table,
     sum_in_order,
 )
 
@@ -305,7 +306,7 @@ def test_int64_contraction_equals_the_int_contraction():
     cm = connectivity_matrix(ring)
     k_finals, h_finals = (component_traces(g, ring)[1] for g in (k, h))
     expected = int64_contraction(cm, _quotient_rows(cm, k_finals), _quotient_rows(cm, h_finals))
-    assert _split_table(cm, k_finals, h_finals) == expected
+    assert split_table(cm, k_finals, h_finals) == expected
     assert split_operator(k, h, ring).tolist() == qr_operator(union_graph(k, h, ring)).tolist()
     assert verify_split(k, h, ring)
 
@@ -399,22 +400,26 @@ def test_verify_split_catches_one_wrong_entry_that_few_states_reach(monkeypatch,
     # land on it.  A whole denominator keeps split_operator's entries integers.
     # The final states are numbered as verify_split numbers them: by the
     # compile in the given edge order, not the breadth-first one of the
-    # trace passes.
+    # trace passes.  Both contractions of the weights call
+    # partitions.contract, so the wrong entry reaches split_operator too,
+    # and both compiles number the same reachable traces, 1 to n after the
+    # dead state 0, so (a, b) is a reachable pair in its breadth-first
+    # numbering as well.
     k, h, shared = random_split(random.Random(300 + num_edges), num_shared, 2, num_edges,
                                 min_total_edges=num_edges)
     k_ids, h_ids = (given_order_traces(g, shared)[0] for g in (k, h))
     hits = np.outer(np.bincount(k_ids), np.bincount(h_ids))
     a, b = min(zip(*np.nonzero(hits)), key=lambda ab: hits[ab])
     assert 16 * hits[a, b] <= hits.sum()
-    real = qrelnet.operators._split_table
+    real = qrelnet.operators.contract
 
-    def one_wrong(cm, k_finals, h_finals):
-        table = real(cm, k_finals, h_finals)
+    def one_wrong(cm, k_rows, h_rows):
+        table = real(cm, k_rows, h_rows)
         table[a][b] += cm.denominator
         return table
 
     assert verify_split(k, h, shared)
-    monkeypatch.setattr(qrelnet.operators, "_split_table", one_wrong)
+    monkeypatch.setattr(qrelnet.operators, "contract", one_wrong)
     assert verify_split(k, h, shared) is False
     assert not np.array_equal(split_operator(k, h, shared), qr_operator(union_graph(k, h, shared)))
 

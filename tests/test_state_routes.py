@@ -9,8 +9,8 @@ state order.  So:
   every ``__cpu_dispatch__`` entry disabled;
 - ``probabilities()`` and ``product_state`` equal a per-entry Python-float
   oracle bit for bit;
-- a state holds its Born weights once, ``weights``: a float list on the
-  list route, a read-only float64 array on the array route, and
+- a state holds its Born weights once, ``weights``: a tuple of floats on
+  the list route, a read-only float64 array on the array route, and
   ``probabilities()`` is a new writable copy of them;
 - a state of at most ``graphs.LIST_EDGES`` edges, built and weighed in
   Python lists, prints what the array route prints, on both sides of the
@@ -157,9 +157,9 @@ def _bits(values) -> list[int]:
 
 
 def _assert_form(psi, lists: bool) -> None:
-    """``psi.weights`` is a float list if ``lists``, else a read-only float64 array."""
+    """``psi.weights`` is a tuple of floats if ``lists``, else a read-only float64 array."""
     if lists:
-        assert type(psi.weights) is list and all(type(w) is float for w in psi.weights)
+        assert type(psi.weights) is tuple and all(type(w) is float for w in psi.weights)
     else:
         assert isinstance(psi.weights, np.ndarray) and psi.weights.dtype == np.float64
         assert not psi.weights.flags.writeable
@@ -201,9 +201,12 @@ def test_weights_are_read_only_and_probabilities_a_new_writable_copy(route):
         psi = StateVector(n, random_state(n, seed).amplitudes)
         _assert_form(psi, route == "lists")
         before = _bits(psi.weights)
-        if route == "arrays":
-            with pytest.raises(ValueError, match="read-only"):
-                psi.weights[0] = 0.5
+        g = Graph(("a",), (("a", "a"),) * n)
+        value = quantum_reliability(g, psi)
+        error, message = (TypeError, "item assignment") if route == "lists" else (ValueError, "read-only")
+        with pytest.raises(error, match=message):
+            psi.weights[0] = 0.5
+        assert quantum_reliability(g, psi) == value
         with pytest.raises(AttributeError, match="cannot assign"):
             psi.weights = [1.0] * (1 << n)
         probs = psi.probabilities()
