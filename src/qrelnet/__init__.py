@@ -18,7 +18,7 @@ _HOMES = {
     "errors": ("CapacityError", "NormalizationError", "OverlapError", "QrelnetError",
                "SublayerError", "WidthMismatchError"),
     "graphs": ("MAX_EDGES", "Graph", "contract_edge", "delete_edge", "edge_state_from_text",
-               "merged_name", "quotient", "vertex_partition_map"),
+               "quotient"),
     "hybrid": ("CLASSICAL", "QUANTUM", "CorrectionTerm", "Decomposition", "HybridState",
                "SublayerResult", "canonical_decomposition", "hybrid_qr", "sublayer_qr"),
     "operators": ("BornEstimate", "born_sample", "o_gamma_operator", "qr_operator",

@@ -80,11 +80,6 @@ def edge_state_from_text(text: str) -> int:
     return bits
 
 
-def merged_name(names) -> str:
-    """Deterministic name for a merged vertex set."""
-    return "+".join(sorted(names))
-
-
 def delete_edge(g: Graph, e: int) -> Graph:
     """Remove edge ``e``; later edges shift down by one, vertices unchanged."""
     if not 0 <= e < g.num_edges:
@@ -92,48 +87,24 @@ def delete_edge(g: Graph, e: int) -> Graph:
     return Graph(g.vertices, g.edges[:e] + g.edges[e + 1 :])
 
 
-def vertex_partition_map(g: Graph, u, gamma: Partition) -> dict[str, int]:
-    """Block index of every vertex under a partition of the vertex subset ``u``.
+def quotient(g: Graph, u, gamma: Partition) -> Graph:
+    """Merge the vertices of each block of ``gamma``; edges keep their order.
 
-    Vertices outside ``u`` stay in singleton blocks.  ``gamma`` must partition
-    exactly the set ``u``.  Block indices run from 0 in order of first
-    appearance in the graph's vertex order, which keeps quotients
-    deterministic.
+    ``gamma`` must partition exactly the vertex subset ``u``; vertices
+    outside ``u`` stay as they are.  Edges inside a block become self-loops.
+    A merged vertex is named by joining its members, sorted, with ``+`` and
+    takes the place of its first member in the vertex order; quotient by
+    all-singletons is the identity.
     """
     uset = set(u)
     if not uset <= set(g.vertices):
         raise QrelnetError("subset mentions a vertex not in the graph", code="invalid_partition")
     if gamma.ground_set() != uset:
         raise QrelnetError("partition does not cover exactly the given subset", code="invalid_partition")
-    block_of = {}
-    for i, block in enumerate(gamma.blocks):
-        for v in block:
-            block_of[v] = i
-    assignment: dict[str, int] = {}
-    fresh: dict[object, int] = {}
-    for v in g.vertices:
-        key = ("b", block_of[v]) if v in block_of else ("v", v)
-        if key not in fresh:
-            fresh[key] = len(fresh)
-        assignment[v] = fresh[key]
-    return assignment
-
-
-def quotient(g: Graph, u, gamma: Partition) -> Graph:
-    """Merge the vertices of each block of ``gamma``; edges keep their order.
-
-    Edges inside a block become self-loops.  A merged vertex is named by
-    joining its members with ``+``; quotient by all-singletons is the
-    identity.
-    """
-    block = vertex_partition_map(g, u, gamma)
-    members: dict[int, list[str]] = {}
-    for v in g.vertices:
-        members.setdefault(block[v], []).append(v)
-    names = {i: merged_name(vs) for i, vs in members.items()}
-    vertices = tuple(names[i] for i in range(len(names)))
-    edges = tuple((names[block[a]], names[block[b]]) for a, b in g.edges)
-    return Graph(vertices, edges)
+    block_of = {v: block for block in gamma.blocks for v in block}
+    key = {v: block_of.get(v, (v,)) for v in g.vertices}
+    return Graph(tuple("+".join(b) for b in dict.fromkeys(key.values())),
+                 tuple(("+".join(key[a]), "+".join(key[b])) for a, b in g.edges))
 
 
 def contract_edge(g: Graph, e: int) -> Graph:

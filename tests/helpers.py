@@ -5,8 +5,9 @@ first search and networkx instead of frontier tables, block-graph closure
 instead of label union, pairwise merges and elimination instead of the
 Moebius closed form, rational loops instead of integer products, a per-state
 loop and the plain deletion/contraction recursion instead of vectorized
-enumeration and the frontier dynamic program, one quotient graph per
-partition instead of one frontier pass per side, int64 matrix products
+enumeration and the frontier dynamic program, a block-index map and
+member lists instead of block tuples as keys for a quotient graph, one
+quotient graph per partition instead of one frontier pass per side, int64 matrix products
 instead of packed-int sums for the split contraction, one masked copy of
 the whole Born vector per quotient row instead of chunks walked with the
 rows inside, both split operators
@@ -364,6 +365,55 @@ def assert_beta_identities(cm) -> None:
     den, n = cm.denominator, len(cm.order)
     assert list(cm.scaled[ti]) == [den if j == fi else 0 for j in range(n)]
     assert [sum(row) for row in cm.scaled] == [den if i == ti else 0 for i in range(n)]
+
+
+def merged_name(names) -> str:
+    """Deterministic name for a merged vertex set."""
+    return "+".join(sorted(names))
+
+
+def vertex_partition_map(g: Graph, u, gamma: Partition) -> dict[str, int]:
+    """Block index of every vertex under a partition of the vertex subset ``u``.
+
+    Vertices outside ``u`` stay in singleton blocks.  ``gamma`` must partition
+    exactly the set ``u``.  Block indices run from 0 in order of first
+    appearance in the graph's vertex order, which keeps quotients
+    deterministic.
+    """
+    uset = set(u)
+    if not uset <= set(g.vertices):
+        raise QrelnetError("subset mentions a vertex not in the graph", code="invalid_partition")
+    if gamma.ground_set() != uset:
+        raise QrelnetError("partition does not cover exactly the given subset", code="invalid_partition")
+    block_of = {}
+    for i, block in enumerate(gamma.blocks):
+        for v in block:
+            block_of[v] = i
+    assignment: dict[str, int] = {}
+    fresh: dict[object, int] = {}
+    for v in g.vertices:
+        key = ("b", block_of[v]) if v in block_of else ("v", v)
+        if key not in fresh:
+            fresh[key] = len(fresh)
+        assignment[v] = fresh[key]
+    return assignment
+
+
+def quotient_oracle(g: Graph, u, gamma: Partition) -> Graph:
+    """Merge the vertices of each block of ``gamma``; edges keep their order.
+
+    Edges inside a block become self-loops.  A merged vertex is named by
+    joining its members with ``+``; quotient by all-singletons is the
+    identity.
+    """
+    block = vertex_partition_map(g, u, gamma)
+    members: dict[int, list[str]] = {}
+    for v in g.vertices:
+        members.setdefault(block[v], []).append(v)
+    names = {i: merged_name(vs) for i, vs in members.items()}
+    vertices = tuple(names[i] for i in range(len(names)))
+    edges = tuple((names[block[a]], names[block[b]]) for a, b in g.edges)
+    return Graph(vertices, edges)
 
 
 def split_diag_fraction_loop(k: Graph, h: Graph, shared) -> list:

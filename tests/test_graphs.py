@@ -16,11 +16,10 @@ from qrelnet import (
     quotient,
     singletons,
     two_term_state,
-    vertex_partition_map,
 )
 from qrelnet.graphs import component_traces
 
-from helpers import edge_state_to_text, random_graph, rejection
+from helpers import edge_state_to_text, quotient_oracle, random_graph, rejection
 
 
 def triangle():
@@ -120,10 +119,87 @@ def test_quotient_validates_subset_and_cover():
         quotient(g, ("a", "b"), Partition((("a",),)))
 
 
-def test_vertex_partition_map_is_contiguous():
+def test_quotient_places_each_block_at_its_first_member():
     g = triangle()
-    vpm = vertex_partition_map(g, ("b", "c"), Partition((("b", "c"),)))
-    assert vpm == {"a": 0, "b": 1, "c": 1}
+    q = quotient(g, ("b", "c"), Partition((("b", "c"),)))
+    assert q.vertices == ("a", "b+c")
+    assert q.edges == (("a", "b+c"), ("a", "b+c"), ("b+c", "b+c"))
+    g = Graph(("c", "x", "a", "d", "b"), (("a", "x"), ("d", "b")))
+    q = quotient(g, ("a", "b", "c", "d"), Partition((("a", "b"), ("d", "c"))))
+    assert q.vertices == ("c+d", "x", "a+b")
+    assert q.edges == (("a+b", "x"), ("c+d", "a+b"))
+
+
+# Vertex names for the differential cases; several are the merged names of others.
+NAMES = ("a", "b", "c", "d", "a+b", "b+c", "a+b+c", "c+d", "+", "a+", "+b")
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type, code and message of the ``QrelnetError`` it raises."""
+    try:
+        return fn(*args)
+    except QrelnetError as exc:
+        return type(exc), exc.code, str(exc)
+
+
+def _quotient_cases():
+    """Fixed edge cases, then seeded random graphs on ``NAMES`` with a subset and a partition of it.
+
+    The random graphs have loops, parallel edges and isolated vertices, and
+    their vertex order is shuffled.  About one subset in eight has a vertex
+    the graph lacks, and about one partition in eight leaves out a vertex of
+    its subset or has one more.
+    """
+    tri = triangle()
+    yield Graph((), ()), (), Partition(())
+    yield tri, ("a", "b", "c"), singletons(("a", "b", "c"))
+    yield tri, ("a", "z"), Partition((("a", "z"),))
+    yield tri, ("a", "b"), Partition((("a",),))
+    yield tri, ("a",), Partition((("a", "b"),))
+    yield Graph(("a", "b", "a+b", "c"), (("a", "b"), ("a+b", "c"))), ("a", "b"), Partition((("a", "b"),))
+    yield Graph(("b", "a", "a+b"), ()), ("a", "b", "a+b"), Partition((("a", "b"), ("a+b",)))
+    rng = random.Random(30)
+    for _ in range(3000):
+        vertices = tuple(rng.sample(NAMES, rng.randint(0, len(NAMES))))
+        edges = []
+        for _ in range(rng.randint(0, 8) if vertices else 0):
+            a = rng.choice(vertices)
+            edges.append((a, a) if rng.random() < 0.15 else (a, rng.choice(vertices)))
+            if rng.random() < 0.2:
+                edges.append(edges[-1])
+        u = [v for v in vertices if rng.random() < 0.6]
+        if rng.random() < 0.125:
+            u.append("z")
+        ground = list(u)
+        if rng.random() < 0.125:
+            if ground and rng.random() < 0.5:
+                ground.pop(rng.randrange(len(ground)))
+            else:
+                ground.append(rng.choice(NAMES + ("y",)))
+        blocks: dict[int, list[str]] = {}
+        for v in dict.fromkeys(ground):
+            blocks.setdefault(rng.randrange(max(1, len(ground) // 2)), []).append(v)
+        yield Graph(vertices, tuple(edges)), tuple(u), Partition(tuple(blocks.values()))
+
+
+def _contract_oracle(g: Graph, e: int) -> Graph:
+    rest = delete_edge(g, e)
+    a, b = g.edges[e]
+    return rest if a == b else quotient_oracle(rest, (a, b), Partition(((a, b),)))
+
+
+def test_quotient_and_contract_edge_match_the_block_index_route():
+    seen = set()
+    for g, u, gamma in _quotient_cases():
+        got = _outcome(quotient, g, u, gamma)
+        assert got == _outcome(quotient_oracle, g, u, gamma), (g, u, gamma)
+        seen.add(got[1:] if isinstance(got, tuple) else "graph")
+        for e in range(-1, g.num_edges + 1):
+            assert _outcome(contract_edge, g, e) == _outcome(_contract_oracle, g, e), (g, e)
+    # Every outcome occurs: a quotient, an unknown vertex, a bad cover and a name collision.
+    assert seen == {"graph", ("invalid_partition", "subset mentions a vertex not in the graph"),
+                    ("invalid_partition", "partition does not cover exactly the given subset"),
+                    ("invalid_graph", "duplicate vertex names")}
 
 
 def test_connectivity_conventions():
