@@ -9,8 +9,10 @@ by :func:`weigh_rows`, the one flagged sum over edge states, which adds
 Born weights for ``qr``, ``hybrid`` and ``sublayer`` too.  The factor
 route walks the list tables in the given edge order, which its float bits
 follow.  numpy loads only in the functions that build arrays.  Both
-accept floats or exact rationals; with ``fractions.Fraction``
-probabilities every intermediate stays exact.
+accept floats or exact rationals.  With ``int`` or ``Fraction``
+probabilities both weigh by the integer numerators of :func:`_factors`
+over one common denominator, and a ``Fraction`` is built only for the
+result.
 """
 
 from __future__ import annotations
@@ -49,19 +51,16 @@ def _validate_probabilities(g: Graph, probs) -> list:
     return check_probabilities(probs)
 
 
-def _all_exact(probs) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in probs)
-
-
 def _factors(probs) -> tuple[list[tuple], int | None]:
     """Each edge's weight factors ``(absent, present)``, and their denominator.
 
     Exact when every probability is an ``int`` or ``Fraction``: the factors
-    are then integer numerators over one common denominator, the product of
-    the probabilities' denominators.  Otherwise they are floats of ``1 - p``
-    (formed in ``p``'s own type) and ``p``, and the denominator is ``None``.
+    are then integer numerators over the edge's own denominator, their sum,
+    and the denominator returned is the product of the edges' ones.
+    Otherwise they are floats of ``1 - p`` (formed in ``p``'s own type) and
+    ``p``, and the denominator is ``None``.
     """
-    if _all_exact(probs):
+    if all(isinstance(x, (int, Fraction)) for x in probs):
         fracs = [Fraction(x) for x in probs]
         return [(f.denominator - f.numerator, f.numerator) for f in fracs], prod(f.denominator for f in fracs)
     return [(float(1 - x), float(x)) for x in probs], None
@@ -168,16 +167,18 @@ def reliability_factorize(g: Graph, probs):
     frontier tables, from 1 on every live final state and 0 on the dead
     state.  The tables are the Python lists of
     :func:`~qrelnet.graphs.frontier_lists`, compiled state by state, so this
-    route loads no numpy.  Each split is ``p * contracted + (1 - p) *
-    deleted``, with ``1 - p`` formed in ``p``'s own type, so rationals stay
-    exact and floats carry the bits of the plain recursion (a ``Fraction``
-    or ``int`` meets a float as its ``float``).
+    route loads no numpy.  Each split is ``present * contracted + absent *
+    deleted`` over the :func:`_factors`.  Exact values are integer
+    numerators, so a dropped edge multiplies by its own denominator, and the
+    result is one ``Fraction``; float values carry the bits of the plain
+    recursion.
     """
     probs = _validate_probabilities(g, probs)
     start, tables, finals = frontier_lists(g, g.vertices[:1])
-    one = Fraction(1) if _all_exact(probs) else 1.0
-    value = [one if f is not None else 0 * one for f in finals]
-    for r, (t0, t1) in zip(reversed(probs), reversed(tables)):
-        s = 1 - r
-        value = [value[a] if a == b else r * value[b] + s * value[a] for a, b in zip(t0, t1)]
-    return value[start] if isinstance(one, Fraction) else float(value[start])
+    factors, denominator = _factors(probs)
+    exact = denominator is not None
+    value = [int(f is not None) for f in finals]
+    for (absent, present), (t0, t1) in zip(reversed(factors), reversed(tables)):
+        loop = absent + present if exact else 1.0  # the edge's denominator; x * 1.0 is x
+        value = [value[a] * loop if a == b else present * value[b] + absent * value[a] for a, b in zip(t0, t1)]
+    return Fraction(value[start], denominator) if exact else float(value[start])

@@ -32,12 +32,10 @@ CLASSICAL = "classical"
 class Decomposition(Record):
     """Quantum subgraph, classical subgraph, and their shared vertices."""
 
-    _fields = ("quantum", "classical", "shared", "quantum_edge_indices", "classical_edge_indices")
+    _fields = ("quantum", "classical", "shared")
 
-    def __init__(self, quantum: Graph, classical: Graph, shared: tuple[str, ...],
-                 quantum_edge_indices: tuple[int, ...], classical_edge_indices: tuple[int, ...]):
-        self._set(quantum=quantum, classical=classical, shared=shared,
-                  quantum_edge_indices=quantum_edge_indices, classical_edge_indices=classical_edge_indices)
+    def __init__(self, quantum: Graph, classical: Graph, shared: tuple[str, ...]):
+        self._set(quantum=quantum, classical=classical, shared=shared)
 
 
 class HybridState(Record):
@@ -64,16 +62,16 @@ def canonical_decomposition(g: Graph, kinds) -> Decomposition:
         if kind not in (QUANTUM, CLASSICAL):
             raise QrelnetError(f"edge kind must be {QUANTUM!r} or {CLASSICAL!r}, got {kind!r}", code="invalid_graph")
 
-    q_idx = tuple(i for i, kind in enumerate(kinds) if kind == QUANTUM)
-    c_idx = tuple(i for i, kind in enumerate(kinds) if kind == CLASSICAL)
-    q_touch = {v for i in q_idx for v in g.edges[i]}
-    c_touch = {v for i in c_idx for v in g.edges[i]}
+    q_edges = tuple(e for e, kind in zip(g.edges, kinds) if kind == QUANTUM)
+    c_edges = tuple(e for e, kind in zip(g.edges, kinds) if kind == CLASSICAL)
+    q_touch = {v for e in q_edges for v in e}
+    c_touch = {v for e in c_edges for v in e}
     c_touch |= {v for v in g.vertices if v not in q_touch and v not in c_touch}
 
-    k = Graph(tuple(v for v in g.vertices if v in q_touch), tuple(g.edges[i] for i in q_idx))
-    h = Graph(tuple(v for v in g.vertices if v in c_touch), tuple(g.edges[i] for i in c_idx))
+    k = Graph(tuple(v for v in g.vertices if v in q_touch), q_edges)
+    h = Graph(tuple(v for v in g.vertices if v in c_touch), c_edges)
     shared = tuple(v for v in g.vertices if v in q_touch and v in c_touch)
-    return Decomposition(k, h, shared, q_idx, c_idx)
+    return Decomposition(k, h, shared)
 
 
 def _check_inputs(decomp: Decomposition, state: HybridState) -> None:

@@ -9,7 +9,6 @@ weights are the inverse connectivity matrix of the shared vertex set.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -156,17 +155,16 @@ def split_operator(k: Graph, h: Graph, shared) -> np.ndarray:
     Computes ``sum over (gamma, gamma') of beta[gamma][gamma'] *
     QR(k/gamma) (x) QR(h/gamma')`` exactly: ``partitions.contract`` sums
     beta, scaled to a common denominator, over the quotient rows of the two
-    :func:`split_sides`; that small table of final-state pairs is divided
-    by the denominator, and every state pair gathers its entry.  The result
-    acts on the union's edge order: ``h`` low bits, ``k`` high bits.
+    :func:`split_sides`; that small table of final-state pairs holds the
+    denominator times 0 or 1 (the splitting identity), so it is divided
+    exactly, and every state pair gathers its entry.  The result is a
+    read-only ``int64`` diagonal on the union's edge order: ``h`` low bits,
+    ``k`` high bits.
     """
     cm, (k_rows, k_ids), (h_rows, h_ids) = split_sides(k, h, shared)
     import numpy as np
 
-    table = np.array(contract(cm, k_rows, h_rows), dtype=np.int64)
-    whole, rest = np.divmod(table, cm.denominator)
-    if rest.any():
-        whole = np.array([[Fraction(x, cm.denominator) for x in row] for row in table.tolist()], dtype=object)
+    whole = np.array(contract(cm, k_rows, h_rows), dtype=np.int64) // cm.denominator
     # Row sk, column sh is state sk * 2^|E_h| + sh; intp ids, no lists, are held at the gather.
     k_ids, h_ids = np.asarray(k_ids, dtype=np.intp), np.asarray(h_ids, dtype=np.intp)
     return _frozen(whole[k_ids[:, None], h_ids].reshape(-1))

@@ -183,10 +183,10 @@ def qubit(spec: QubitSpec) -> StateVector:
 
 
 def product_state(specs) -> StateVector:
-    """Independent qubits, one per edge; spec ``i`` drives bit ``i``."""
+    """Independent qubits, one per edge; spec ``i`` drives bit ``i``.  No specs give the 0-edge state ``[1]``."""
     specs = list(specs)
-    if not 1 <= len(specs) <= MAX_EDGES:
-        raise CapacityError(f"product states support 1..{MAX_EDGES} edges, got {len(specs)}")
+    if len(specs) > MAX_EDGES:
+        raise CapacityError(f"product states support 0..{MAX_EDGES} edges, got {len(specs)}")
     lists = in_lists(len(specs))
     parts = [1.0], [0.0]
     for spec in specs:

@@ -206,12 +206,16 @@ FLOAT_INPUTS = {
         "quantum": _product([0.7, 0.4, 0.55], GENERAL_PHASES), "classical": SUBLAYER_STATE["classical"]}}, []),
     "hybrid_pendant": ("hybrid", {"graph": PENDANT, "state": {
         "quantum": _product([0.8, 0.3, 0.65]), "classical": [0.9, 0.35, 0.8, 0.6]}}, []),
+    # No quantum edges: the empty product is the 0-edge state [1].
+    "hybrid_empty_product": ("hybrid", {"graph": _tagged([], [["a", "b"]]), "state": {
+        "quantum": _product([]), "classical": [0.5]}}, []),
     "sublayer": ("sublayer", {"graph": SUBLAYER, "state": SUBLAYER_STATE}, []),
     "split_verify": ("split-verify", {"k": TRIANGLE, "h": SQUARE}, ["--shared", "a,b,c"]),
 }
 
 # The stdout of each case above.
 FLOAT_GOLDEN = {
+    "hybrid_empty_product": '{"schema":"qrelnet/1","value":0.5}\n',
     "hybrid_pendant": '{"schema":"qrelnet/1","value":0.48000420000000033}\n',
     "hybrid_sublayer": '{"schema":"qrelnet/1","value":0.88862294000000008}\n',
     "hybrid_sublayer_general_phases": '{"schema":"qrelnet/1","value":0.88862294000000053}\n',

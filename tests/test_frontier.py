@@ -214,7 +214,7 @@ def test_every_split_runs_one_frontier_pass_per_side(monkeypatch):
     h = Graph(("a", "b", "c"), (("a", "c"), ("c", "b"), ("a", "b")))
     shared = ("a", "b")
     psi_k, psi_h = random_state(2, 1), random_state(3, 2)
-    decomp = Decomposition(k, h, shared, (), ())
+    decomp = Decomposition(k, h, shared)
     state = HybridState(psi_k, (0.3, 0.6, 0.9))
     runs = {
         "split_operator": lambda: split_operator(k, h, shared),

@@ -46,8 +46,6 @@ def test_canonical_decomposition_triangle():
     assert d.quantum == Graph(("a", "b"), (("a", "b"),))
     assert d.classical == Graph(("a", "b", "c"), (("b", "c"), ("c", "a")))
     assert d.shared == ("a", "b")
-    assert d.quantum_edge_indices == (0,)
-    assert d.classical_edge_indices == (1, 2)
 
 
 def test_canonical_decomposition_isolated_vertex_goes_classical():
@@ -118,13 +116,13 @@ def test_hybrid_qr_disjoint_parts_gives_zero():
 def test_hybrid_qr_rejects_inconsistent_decomposition():
     k = Graph(("a", "b"), (("a", "b"),))
     h = Graph(("a", "c"), (("a", "c"),))
-    bad = Decomposition(k, h, (), (0,), (1,))
+    bad = Decomposition(k, h, ())
     with pytest.raises(OverlapError):
         hybrid_qr(bad, HybridState(random_state(1, 0), (0.5,)))
     with pytest.raises(OverlapError):
         sublayer_qr(bad, HybridState(random_state(1, 0), (0.5,)))
     # A shared vertex declared, but no quantum vertices to share it.
-    no_quantum = Decomposition(Graph((), ()), h, ("a",), (), (0,))
+    no_quantum = Decomposition(Graph((), ()), h, ("a",))
     with pytest.raises(OverlapError):
         hybrid_qr(no_quantum, HybridState(StateVector(0, [1.0]), (0.5,)))
 

@@ -37,8 +37,8 @@ from qrelnet import (
     verify_split,
 )
 from qrelnet.graphs import component_traces
-from qrelnet.operators import _quotient_rows, _split_weights
-from qrelnet.partitions import ConnectivityMatrix
+from qrelnet.operators import _quotient_rows, _split_weights, split_sides
+from qrelnet.partitions import ConnectivityMatrix, contract
 from helpers import (
     bfs_is_connected,
     bfs_trace,
@@ -365,8 +365,11 @@ def _differential_cuts():
 def test_verify_split_is_the_array_equality(monkeypatch, broken):
     # verify_split walks reachable product states; the assembled array
     # against the direct one is the same check over every edge state.  With
-    # one weight changed, split_operator and verify_split see the same
-    # wrong weights, and both routes must still agree.
+    # one weight changed, the array and verify_split see the same wrong
+    # weights, and both routes must still agree.  split_operator divides by
+    # the denominator exactly only where the weights are right, so the array
+    # is gathered here from the sides' contraction, each entry coded 1 where
+    # it is the denominator, 0 where it is 0 and 2 elsewhere.
     cuts = _differential_cuts()
     edges = [e for k, h, _ in cuts for e in k.edges + h.edges]
     assert any(a == b for a, b in edges)  # loops
@@ -384,7 +387,13 @@ def test_verify_split_is_the_array_equality(monkeypatch, broken):
             scaled[rng.randrange(len(scaled))][rng.randrange(len(scaled))] += 1
             wrong = ConnectivityMatrix(cm.order, cm.alpha, tuple(map(tuple, scaled)), cm.denominator)
             monkeypatch.setattr(qrelnet.operators, "connectivity_matrix", lambda _, wrong=wrong: wrong)
-        expected = np.array_equal(split_operator(k, h, shared), qr_operator(union_graph(k, h, shared)))
+        cm, (k_rows, k_ids), (h_rows, h_ids) = split_sides(k, h, shared)
+        table = np.array(contract(cm, k_rows, h_rows))
+        code = np.select([table == cm.denominator, table == 0], [1, 0], 2).astype(np.uint8)
+        direct = qr_operator(union_graph(k, h, shared))
+        expected = np.array_equal(code[np.array(k_ids)[:, None], np.array(h_ids)].reshape(-1), direct)
+        if not broken:
+            assert np.array_equal(split_operator(k, h, shared), direct)
         assert verify_split(k, h, shared) is expected, (k, h, shared)
         outcomes.append(expected)
     if broken:
@@ -509,9 +518,6 @@ def test_born_draws_past_the_cumulative_table_skip_zero_weight_states(monkeypatc
     assert born_sample(g1(), psi, 10, seed=0).estimate == 0.0
 
 
-# Not reached by any input: the Fraction fallback of split_operator, since
-# the splitting identity makes every entry of the scaled sum a multiple of
-# the common denominator.
 @pytest.mark.parametrize("fn, args, expected", [
     (qr_value, (np.zeros(3), random_state(1, 0)), "width_mismatch"),
     (qr_split_value, (g1(), g1(), ["a"], random_state(2, 0), random_state(1, 0)), "width_mismatch"),

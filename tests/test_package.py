@@ -83,7 +83,7 @@ def _records():
         (lambda: canonical_decomposition(path, [QUANTUM, CLASSICAL]),
          lambda: canonical_decomposition(path, [CLASSICAL, QUANTUM]),
          "Decomposition(quantum=Graph(vertices=('a', 'b'), edges=(('a', 'b'),)), classical=Graph(vertices=('b', "
-         "'c'), edges=(('b', 'c'),)), shared=('b',), quantum_edge_indices=(0,), classical_edge_indices=(1,))"),
+         "'c'), edges=(('b', 'c'),)), shared=('b',))"),
         (lambda: HybridState(psi, [Fraction(1, 2)]), lambda: HybridState(psi, [Fraction(1, 3)]),
          "HybridState(quantum=StateVector(num_edges=1, amplitudes=array([0.6+0.j , 0. +0.8j])), "
          "classical=(Fraction(1, 2),))"),

@@ -81,7 +81,7 @@ def test_hybrid_qr_equals_quotient_loop():
     for rng, trial, (k, h, shared) in _cuts(33, 60):
         psi = random_state(k.num_edges, 300 + trial)
         probs = _probabilities(rng, trial, h.num_edges)
-        decomp = Decomposition(k, h, tuple(shared), (), ())
+        decomp = Decomposition(k, h, tuple(shared))
         terms = split_terms_oracle(shared, _quantum_loop(k, shared, psi), _classical_loop(h, shared, probs))
         assert hybrid_qr(decomp, HybridState(psi, probs)) == sum_in_order(t[3] for t in terms)
 
@@ -92,7 +92,7 @@ def test_sublayer_qr_equals_quotient_loop():
         k = Graph(tuple(shared), tuple((rng.choice(shared), rng.choice(shared)) for _ in range(rng.randint(0, 3))))
         psi = random_state(k.num_edges, 400 + trial)
         probs = _probabilities(rng, trial, h.num_edges)
-        result = sublayer_qr(Decomposition(k, h, tuple(shared), (), ()), HybridState(psi, probs))
+        result = sublayer_qr(Decomposition(k, h, tuple(shared)), HybridState(psi, probs))
 
         baseline = float(reliability_enumerate(h, list(probs)))
         terms = split_terms_oracle(shared, _quantum_loop(k, shared, psi), _classical_loop(h, shared, probs))

@@ -64,8 +64,8 @@ def test_product_state_certain_edges():
 
 
 def test_product_state_caps():
-    with pytest.raises(CapacityError):
-        product_state([])
+    empty = product_state([])
+    assert empty.num_edges == 0 and empty.amplitudes.tolist() == [1]
     with pytest.raises(CapacityError):
         product_state([QubitSpec(0.5)] * 25)
 
