@@ -235,16 +235,16 @@ def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
         raise CapacityError(f"sample count {n} exceeds {np.iinfo(np.intp).max}")
     if seed < 0:
         raise QrelnetError(f"seed must be non-negative, got {seed}", code="invalid_input")
-    rng = np.random.default_rng(seed)
+    flags = qr_operator(g)  # first, so that its build peaks without the cumulative table
     probs = np.asarray(psi.weights)
-    cdf = np.cumsum(probs)
     # The estimate counts flags, so the draws' order is free; sorted draws
     # walk the cumulative table in one direction.
-    draws = np.sort(rng.random(n))
-    states = np.searchsorted(cdf, draws, side="right")
-    # cdf[-1] may end below 1: later draws take the last state of positive weight.
-    np.clip(states, 0, np.flatnonzero(probs)[-1], out=states)
-    flags = qr_operator(g).astype(float)
-    estimate = float(np.mean(flags[states]))
+    draws = np.random.default_rng(seed).random(n)
+    draws.sort()
+    states = np.searchsorted(np.cumsum(probs), draws, side="right")
+    # The table may end below 1: later draws take the last state of positive
+    # weight (weights are >= +0, and the norm check leaves one positive).
+    np.clip(states, 0, probs.size - 1 - np.argmax(probs[::-1] > 0), out=states)
+    estimate = int(np.count_nonzero(flags[states])) / n  # an exact count over n, rounded once
     stderr = sqrt(estimate * (1.0 - estimate) / n)
     return BornEstimate(estimate, stderr)

@@ -18,13 +18,16 @@ per edge instead of the breadth-first compile placed bit by bit for the
 traces, a per-entry decoder instead
 of one flat conversion for amplitudes, a tree walk that emits text pieces
 instead of one string per value for canonical JSON, a per-state product of
-qubit factors instead of Kronecker products of lists or arrays) so agreement
+qubit factors instead of Kronecker products of lists or arrays, a float64
+copy of the diagonal averaged by ``np.mean`` instead of a count of the
+``uint8`` flags for Born draws) so agreement
 is evidence, not tautology.  ``random_state`` builds test states; no library
 path uses it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -32,12 +35,14 @@ import tracemalloc
 from collections import deque
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
 
 from qrelnet import (
     MAX_EDGES,
+    BornEstimate,
     CapacityError,
     Graph,
     Partition,
@@ -473,6 +478,77 @@ def split_terms_oracle(shared, left, right) -> list[tuple]:
             for i, row in enumerate(beta) for j, b in enumerate(row) if b]
 
 
+@functools.cache
+def quotient_connections(g: Graph, shared) -> list[list[bool]]:
+    """Row ``i``, state ``s``: whether ``s`` connects ``g`` over the ``i``-th partition of ``shared``.
+
+    One breadth-first search per state on each quotient graph, the
+    partitions in ``enumerate_partitions`` order.
+    """
+    quotients = [quotient_oracle(g, shared, p) for p in enumerate_partitions(shared)]
+    return [[bfs_is_connected(q, s) for s in range(1 << g.num_edges)] for q in quotients]
+
+
+class SplitFormula(NamedTuple):
+    """The splitting formula of a hybrid state, every value an integer over ``den``."""
+
+    den: int
+    terms: dict  # (gamma, gamma') -> (beta, numerator of beta * Q(k / gamma) * R(h / gamma')) for every nonzero beta
+    classical: int  # R(h / singletons), the classical reliability of h
+
+
+def split_formula_exact(decomp, state) -> SplitFormula:
+    """Every term of ``hybrid``'s and ``sublayer``'s formula in exact arithmetic.
+
+    ``Q(k / gamma)`` adds the exact Born weights ``re ** 2 + im ** 2`` of the
+    state's float parts, and ``R(h / gamma')`` the exact Bernoulli weights
+    of its probabilities, over the states that :func:`quotient_connections`
+    marks; beta comes from elimination on the pairwise-merge alpha.  Float
+    parts are integers over one power of two ``P``, so the Born weights are
+    integers over ``P ** 2``; the Bernoulli weights are integers over the
+    product ``D`` of the probabilities' denominators (a power of two for
+    floats), and beta over the lcm ``B`` of its denominators.  So every
+    value is an integer over ``den = B * P ** 2 * D``.
+    """
+    k, h, shared = decomp.quantum, decomp.classical, decomp.shared
+    parts = enumerate_partitions(shared)
+    beta = invert_exact(pairwise_merge_alpha(parts))
+    xs = [Fraction(x) for a in state.quantum.amplitudes.tolist() for x in (a.real, a.imag)]
+    p_den = max(x.denominator for x in xs)
+    ints = [x.numerator * (p_den // x.denominator) for x in xs]
+    born = [x * x + y * y for x, y in zip(ints[0::2], ints[1::2])]
+    probs = [Fraction(x) for x in state.classical]
+    bernoulli = [math.prod(p.numerator if s >> e & 1 else p.denominator - p.numerator for e, p in enumerate(probs))
+                 for s in range(1 << h.num_edges)]
+    left = [sum(itertools.compress(born, row)) for row in quotient_connections(k, shared)]
+    right = [sum(itertools.compress(bernoulli, row)) for row in quotient_connections(h, shared)]
+    b_den = math.lcm(*(b.denominator for row in beta for b in row))
+    terms = {(parts[i], parts[j]): (b, b.numerator * (b_den // b.denominator) * left[i] * right[j])
+             for i, row in enumerate(beta) for j, b in enumerate(row) if b}
+    classical = right[parts.index(singletons(shared))] * b_den * p_den ** 2
+    return SplitFormula(b_den * p_den ** 2 * math.prod(p.denominator for p in probs), terms, classical)
+
+
+UNIT_ROUNDOFF = Fraction(1, 1 << 53)
+
+
+def gamma(k: int) -> Fraction:
+    """Higham's ``gamma_k = k u / (1 - k u)``, the binary64 unit roundoff ``u``: ``k`` roundings stay within it."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def error_bound(values, roundings) -> Fraction:
+    """A-priori bound on |float sum - exact sum| of exact ``values``, with no underflow.
+
+    The float of ``values[i]`` comes through ``roundings[i]`` roundings, so it
+    is within ``gamma(k_i) |x_i|`` (Higham, Lemma 3.3); the ``n`` floats are
+    then added in any order, within ``gamma(n - 1)`` times the sum of their
+    magnitudes (Higham, eq. 4.4), each at most ``(1 + gamma(k_i)) |x_i|``.
+    """
+    spread = gamma(len(values) - 1)
+    return sum(abs(x) * (gamma(k) + spread * (1 + gamma(k))) for x, k in zip(values, roundings))
+
+
 def sum_in_order(values) -> float:
     """Float sum strictly left to right, the same on every Python version."""
     total = 0.0
@@ -592,6 +668,28 @@ def kron_outer_oracle(a, b) -> tuple[np.ndarray, np.ndarray]:
 def born_oracle(amplitudes) -> list[float]:
     """``re * re + im * im`` of every amplitude, in Python floats."""
     return [a.real * a.real + a.imag * a.imag for a in map(complex, amplitudes)]
+
+
+def born_sample_oracle(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
+    """``born_sample`` past its argument checks, by the route it replaced.
+
+    A sorted copy of the draws, the last positive weight by ``np.flatnonzero``,
+    and ``np.mean`` over a float64 copy of the diagonal, built after the
+    cumulative table.
+    """
+    rng = np.random.default_rng(seed)
+    probs = np.asarray(psi.weights)
+    cdf = np.cumsum(probs)
+    # The estimate counts flags, so the draws' order is free; sorted draws
+    # walk the cumulative table in one direction.
+    draws = np.sort(rng.random(n))
+    states = np.searchsorted(cdf, draws, side="right")
+    # cdf[-1] may end below 1: later draws take the last state of positive weight.
+    np.clip(states, 0, np.flatnonzero(probs)[-1], out=states)
+    flags = qr_operator(g).astype(float)
+    estimate = float(np.mean(flags[states]))
+    stderr = math.sqrt(estimate * (1.0 - estimate) / n)
+    return BornEstimate(estimate, stderr)
 
 
 def frontier_tables_oracle(g: Graph, u):

@@ -50,12 +50,12 @@ print(json.dumps(jobs))
 """
 
 
-def build_fixtures(directory: Path) -> dict:
-    """Write every workload's inputs at every seed under ``directory/<workload>/<seed>``.
+def build_fixtures(directory: Path, workloads=WORKLOADS) -> dict:
+    """Write each workload's inputs at every seed under ``directory/<workload>/<seed>``.
 
     Returns ``{"<workload>/<seed>": [[job id, *argv], ...]}``.
     """
-    keys = [f"{workload}/{seed}" for workload in WORKLOADS for seed in SEEDS]
+    keys = [f"{workload}/{seed}" for workload in workloads for seed in SEEDS]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", BUILD, str(directory), json.dumps(keys)], cwd=ROOT / "perfbench",
                           env=env, capture_output=True, text=True, timeout=300)
