@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .classical import sum_in_order, weigh_rows
+from .classical import CHUNK_BITS, sum_in_order, weigh_rows
 from .errors import CapacityError, OverlapError, QrelnetError, WidthMismatchError
 from .graphs import Graph, component_traces, frontier_lists, traces
 from .partitions import ConnectivityMatrix, Partition, connectivity_matrix, contract
@@ -237,14 +237,20 @@ def born_sample(g: Graph, psi: StateVector, n: int, seed: int) -> BornEstimate:
         raise QrelnetError(f"seed must be non-negative, got {seed}", code="invalid_input")
     flags = qr_operator(g)  # first, so that its build peaks without the cumulative table
     probs = np.asarray(psi.weights)
-    # The estimate counts flags, so the draws' order is free; sorted draws
-    # walk the cumulative table in one direction.
-    draws = np.random.default_rng(seed).random(n)
-    draws.sort()
-    states = np.searchsorted(np.cumsum(probs), draws, side="right")
     # The table may end below 1: later draws take the last state of positive
     # weight (weights are >= +0, and the norm check leaves one positive).
-    np.clip(states, 0, probs.size - 1 - np.argmax(probs[::-1] > 0), out=states)
-    estimate = int(np.count_nonzero(flags[states])) / n  # an exact count over n, rounded once
+    last = probs.size - 1 - int(np.argmax(probs[::-1] > 0))
+    cdf = np.cumsum(probs)
+    # One generator drawn 2 ** CHUNK_BITS at a time gives the numbers of one
+    # call.  The estimate counts flags, so the draws' order is free; sorted
+    # draws walk the cumulative table in one direction.
+    rng, step, hits = np.random.default_rng(seed), 1 << CHUNK_BITS, 0
+    for start in range(0, n, step):
+        draws = rng.random(min(step, n - start))
+        draws.sort()
+        states = np.searchsorted(cdf, draws, side="right")
+        np.clip(states, 0, last, out=states)
+        hits += int(np.count_nonzero(flags[states]))
+    estimate = hits / n  # an exact count over n, rounded once
     stderr = sqrt(estimate * (1.0 - estimate) / n)
     return BornEstimate(estimate, stderr)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, QrelnetError, WidthMismatchError
@@ -142,26 +142,20 @@ def _parse_complex(obj) -> complex:
         raise QrelnetError("complex part too large for a float", code="invalid_state") from None
 
 
-def _amplitude_parts(values: list) -> list[float]:
-    """``[re, im]`` pairs as one flat list of floats: ``re`` then ``im``, entry by entry.
+def _amplitude_parts(values: list) -> tuple[list[float], list[float]]:
+    """The ``re`` and the ``im`` parts of ``[re, im]`` pairs, as two float lists.
 
-    Three scans check that every entry is a list, of length two, of exact
-    ``int``s and ``float``s (no bools); the ``int``s are then converted by
-    ``float``, so every part has the bits of ``complex(re, im)``, signed
-    zeros included.  Anything else, or a part too large for a float, goes
-    through the per-entry decoder for its error.
+    Two scans check that every entry is a list of length two, and two more
+    that every part is an exact ``float``.  Anything else goes through the
+    per-entry decoder, ``complex(re, im)``, for its bits (signed zeros
+    included) or its error.
     """
     if set(map(type, values)) == {list} and set(map(len, values)) == {2}:
-        parts = list(chain.from_iterable(values))
-        kinds = set(map(type, parts))
-        if kinds == {float}:
-            return parts
-        if kinds <= {int, float}:
-            try:
-                return list(map(float, parts))
-            except OverflowError:
-                pass
-    return [x for z in map(_parse_complex, values) for x in (z.real, z.imag)]
+        re, im = list(map(itemgetter(0), values)), list(map(itemgetter(1), values))
+        if set(map(type, re)) | set(map(type, im)) == {float}:
+            return re, im
+    amplitudes = list(map(_parse_complex, values))
+    return [z.real for z in amplitudes], [z.imag for z in amplitudes]
 
 
 def _parse_probability(x) -> float:
@@ -183,7 +177,7 @@ def parse_state(obj, g: Graph) -> StateVector:
     one entry per basis state.  ``phase`` defaults to ``[1, 0]``.
     """
     from .graphs import edge_state_from_text
-    from .states import QubitSpec, product_state, state_of_parts, two_term_state
+    from .states import QubitSpec, StateVector, product_state, two_term_state
 
     num_edges = g.num_edges
     _require(isinstance(obj, dict) and "type" in obj, "state must be an object with a 'type'", "invalid_state")
@@ -220,7 +214,7 @@ def parse_state(obj, g: Graph) -> StateVector:
         _require(isinstance(values, list), "amplitudes state needs a 'values' list", "invalid_state")
         if len(values) != 1 << num_edges:
             raise WidthMismatchError(f"{len(values)} amplitudes for {num_edges} edges")
-        return state_of_parts(num_edges, _amplitude_parts(values))
+        return StateVector._of(num_edges, _amplitude_parts(values))
     raise QrelnetError(f"unknown state type {kind!r}", code="invalid_state")
 
 

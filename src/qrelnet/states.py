@@ -65,7 +65,14 @@ class StateVector(Record):
 
     @classmethod
     def _of(cls, num_edges: int, parts) -> StateVector:
-        """The state of ``(re, im)``: float lists where ``in_lists(num_edges)``, float64 arrays past that."""
+        """The state of ``(re, im)``: float lists where ``in_lists(num_edges)``, float64 arrays past that.
+
+        Past that, given lists become arrays here, with the same bits.
+        """
+        if not in_lists(num_edges):
+            import numpy as np
+
+            parts = [np.asarray(x, dtype=np.float64) for x in parts]
         state = object.__new__(cls)
         state._init(num_edges, *parts)
         return state
@@ -220,15 +227,6 @@ def two_term_state(g, zeta: int, chi: int, p: float, phase: complex = 1.0 + 0j) 
     re[zeta] = sqrt(p)
     re[chi], im[chi] = _phased(sqrt(1.0 - p), phase)
     return StateVector._of(num_edges, (re, im))
-
-
-def state_of_parts(num_edges: int, parts: list[float]) -> StateVector:
-    """The state whose amplitude ``i`` is ``parts[2 * i] + 1j * parts[2 * i + 1]``, bit for bit."""
-    if not in_lists(num_edges):
-        import numpy as np
-
-        parts = np.array(parts, dtype=np.float64)
-    return StateVector._of(num_edges, (parts[0::2], parts[1::2]))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -503,30 +503,49 @@ def split_formula_exact(decomp, state) -> SplitFormula:
     ``Q(k / gamma)`` adds the exact Born weights ``re ** 2 + im ** 2`` of the
     state's float parts, and ``R(h / gamma')`` the exact Bernoulli weights
     of its probabilities, over the states that :func:`quotient_connections`
-    marks; beta comes from elimination on the pairwise-merge alpha.  Float
-    parts are integers over one power of two ``P``, so the Born weights are
-    integers over ``P ** 2``; the Bernoulli weights are integers over the
-    product ``D`` of the probabilities' denominators (a power of two for
-    floats), and beta over the lcm ``B`` of its denominators.  So every
-    value is an integer over ``den = B * P ** 2 * D``.
+    marks; beta comes from elimination on the pairwise-merge alpha.  The Born
+    weights are integers over ``P ** 2`` (:func:`born_exact`), the
+    Bernoulli weights integers over ``D`` (:func:`bernoulli_exact`), and
+    beta is over the lcm ``B`` of its denominators.  So every value is an
+    integer over ``den = B * P ** 2 * D``.
     """
     k, h, shared = decomp.quantum, decomp.classical, decomp.shared
     parts = enumerate_partitions(shared)
     beta = invert_exact(pairwise_merge_alpha(parts))
-    xs = [Fraction(x) for a in state.quantum.amplitudes.tolist() for x in (a.real, a.imag)]
-    p_den = max(x.denominator for x in xs)
-    ints = [x.numerator * (p_den // x.denominator) for x in xs]
-    born = [x * x + y * y for x, y in zip(ints[0::2], ints[1::2])]
-    probs = [Fraction(x) for x in state.classical]
-    bernoulli = [math.prod(p.numerator if s >> e & 1 else p.denominator - p.numerator for e, p in enumerate(probs))
-                 for s in range(1 << h.num_edges)]
+    born, p_den_sq = born_exact(state.quantum)
+    bernoulli, d_den = bernoulli_exact(state.classical)
     left = [sum(itertools.compress(born, row)) for row in quotient_connections(k, shared)]
     right = [sum(itertools.compress(bernoulli, row)) for row in quotient_connections(h, shared)]
     b_den = math.lcm(*(b.denominator for row in beta for b in row))
     terms = {(parts[i], parts[j]): (b, b.numerator * (b_den // b.denominator) * left[i] * right[j])
              for i, row in enumerate(beta) for j, b in enumerate(row) if b}
-    classical = right[parts.index(singletons(shared))] * b_den * p_den ** 2
-    return SplitFormula(b_den * p_den ** 2 * math.prod(p.denominator for p in probs), terms, classical)
+    classical = right[parts.index(singletons(shared))] * b_den * p_den_sq
+    return SplitFormula(b_den * p_den_sq * d_den, terms, classical)
+
+
+def born_exact(psi: StateVector) -> tuple[list[int], int]:
+    """The exact Born weights ``re ** 2 + im ** 2`` of a state's float parts, as integers over ``P ** 2``.
+
+    Float parts are integers over one power of two ``P``, the largest of
+    their denominators.
+    """
+    xs = [x.as_integer_ratio() for a in psi.amplitudes.tolist() for x in (a.real, a.imag)]
+    den = max(d for _, d in xs)
+    ints = [n * (den // d) for n, d in xs]
+    return [x * x + y * y for x, y in zip(ints[0::2], ints[1::2])], den * den
+
+
+def bernoulli_exact(probs) -> tuple[list[int], int]:
+    """The exact Bernoulli weight of every edge state, as integers over the product ``D`` of the denominators.
+
+    Edge ``e`` is bit ``e`` of a state and weighs ``p_e`` present, ``1 - p_e``
+    absent, in exact rationals (a power-of-two denominator for a float).
+    """
+    fracs = list(map(Fraction, probs))
+    table = [1]
+    for p in fracs:
+        table = [w * (p.denominator - p.numerator) for w in table] + [w * p.numerator for w in table]
+    return table, math.prod(p.denominator for p in fracs)
 
 
 UNIT_ROUNDOFF = Fraction(1, 1 << 53)
@@ -545,8 +564,16 @@ def error_bound(values, roundings) -> Fraction:
     then added in any order, within ``gamma(n - 1)`` times the sum of their
     magnitudes (Higham, eq. 4.4), each at most ``(1 + gamma(k_i)) |x_i|``.
     """
+    values, magnitudes = list(values), {}
+    for x, k in zip(values, roundings):  # grouped by k, so integer values add as integers
+        magnitudes[k] = magnitudes.get(k, 0) + abs(x)
     spread = gamma(len(values) - 1)
-    return sum(abs(x) * (gamma(k) + spread * (1 + gamma(k))) for x, k in zip(values, roundings))
+    return sum(m * (gamma(k) + spread * (1 + gamma(k))) for k, m in magnitudes.items())
+
+
+def ulps(value: float, exact: Fraction) -> float:
+    """``|value - exact|`` in units in the last place of ``value``, to two decimals."""
+    return round(float(abs(Fraction(value) - exact) / Fraction(math.ulp(value))), 2)
 
 
 def sum_in_order(values) -> float:

@@ -1,15 +1,17 @@
 """``born_sample`` against the route it replaced, bit for bit.
 
-``helpers.born_sample_oracle`` sorts a copy of the draws, finds the last
-positive weight by ``np.flatnonzero`` and averages a float64 copy of the
-diagonal; ``born_sample`` sorts in place, finds that state from the end of
-the weights, and counts the ``uint8`` flags.  Both must give the same
-estimate and standard error on every state, draw count and seed, on list-held
-states (at most 16 edges) and array-held ones.
+``helpers.born_sample_oracle`` draws all ``n`` numbers in one call, sorts a
+copy, finds the last positive weight by ``np.flatnonzero`` and averages a
+float64 copy of the diagonal; ``born_sample`` draws, sorts and counts the
+``uint8`` flags ``2 ** CHUNK_BITS`` draws at a time, and finds that state from
+the end of the weights.  Both must give the same estimate and standard error
+on every state, draw count and seed, on list-held states (at most 16 edges)
+and array-held ones; the draw counts straddle one chunk.
 """
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from qrelnet import Graph, QubitSpec, StateVector, born_sample, product_state, t
 from helpers import born_sample_oracle, random_state
 
 EDGES = (3, 16, 17, 20)
-DRAWS = (1, 7, 65_537, 200_000)
+DRAWS = (1, 7, 2 ** 16, 2 ** 16 + 1, 200_000)
 
 
 @functools.cache
@@ -69,3 +71,18 @@ def test_both_routes_skip_the_zero_tail_past_the_cumulative_table(monkeypatch):
     g = Graph(("a", "b"), (("a", "b"),))
     psi = StateVector(1, np.array([math.sqrt(1 - 5e-11), 0]))
     assert born_sample(g, psi, 10, seed=0) == born_sample_oracle(g, psi, 10, seed=0) == (0.0, 0.0)
+
+
+def test_the_peak_does_not_grow_with_the_draws():
+    # At about 17 bytes a draw held at once, 2e6 draws would peak about 30 MB above 2e5.
+    g, psi = chorded_ring(16), state(16, "dense", 16)
+
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            born_sample(g, psi, n, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(2_000_000) - peak(200_000)) <= 5 << 20

@@ -211,8 +211,9 @@ def test_parse_probability_list():
 
 
 def _parse_amplitudes(values):
-    """The parser's flat parts as a float64 array: the layout of the oracle's complex128 entries."""
-    return np.array(_amplitude_parts(values), dtype=np.float64)
+    """The parser's ``(re, im)`` lists interleaved into a float64 array: the layout of the oracle's complex128 entries."""
+    re, im = _amplitude_parts(values)
+    return np.array([re, im], dtype=np.float64).T.reshape(-1)
 
 
 def _decoded(decode, values):
@@ -262,3 +263,40 @@ def test_amplitude_errors_keep_the_per_entry_code_and_message():
 @given(values=st.lists(ENTRIES, min_size=1, max_size=6))
 def test_amplitude_decoding_matches_the_per_entry_oracle(values):
     assert _decoded(_parse_amplitudes, values) == _decoded(amplitudes_oracle, values)
+
+
+def _file_values(num_edges: int, form: str) -> list:
+    """The ``values`` of an amplitudes file of unit norm: all ``float`` parts, all ``int`` parts, or both."""
+    size = 1 << num_edges
+    if form == "int":
+        return [[0, 0]] * (size - 1) + [[0, -1]]
+    rng = np.random.default_rng(num_edges)
+    re, im = rng.standard_normal(size), rng.standard_normal(size)
+    im[::2] = re[1] = im[1] = 0.0
+    norm = math.sqrt(float(np.sum(re * re + im * im)))
+    values = [[x / norm, y / norm] for x, y in zip(re.tolist(), im.tolist())]
+    values[1] = [-0.0, -0.0]
+    if form == "mixed":  # the zero imaginary parts as ints, and one int real part
+        values = [[x, 0] if i % 2 == 0 else [x, y] for i, (x, y) in enumerate(values)]
+        values[1][0] = 0
+    return values
+
+
+BAD_ENTRIES = ([True, 0], [0, None], [1.0], [1, 2, 3], "x", [10 ** 400, 0], [0.5, "0"])
+
+
+@pytest.mark.parametrize("num_edges", (16, 17))
+def test_dense_states_at_both_forms_decode_like_the_per_entry_oracle(num_edges):
+    # At 16 edges the parts stay Python lists, at 17 they become float64 arrays.
+    g = Graph(("a", "b"), (("a", "b"),) * num_edges)
+    for form in ("float", "int", "mixed"):
+        values = _file_values(num_edges, form)
+        psi = parse_state({"type": "amplitudes", "values": values}, g)
+        assert all(isinstance(part, list) == (num_edges == 16) for part in psi._parts)
+        assert psi.amplitudes.view(np.uint64).tolist() == amplitudes_oracle(values).view(np.uint64).tolist(), form
+    values = _file_values(num_edges, "float")
+    for bad in BAD_ENTRIES:
+        for i in (0, len(values) - 1):
+            case = values[:i] + [bad] + values[i + 1:]
+            decoded = _decoded(lambda v: parse_state({"type": "amplitudes", "values": v}, g).amplitudes, case)
+            assert decoded == _decoded(amplitudes_oracle, case) and decoded[0] == "invalid_state", bad

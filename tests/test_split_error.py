@@ -37,7 +37,7 @@ from qrelnet.cli import main
 from qrelnet.hybrid import canonical_decomposition
 from qrelnet.serialize import parse_hybrid_state, parse_tagged_graph
 
-from helpers import error_bound, split_formula_exact
+from helpers import error_bound, split_formula_exact, ulps
 from test_job_goldens import SEEDS, build_fixtures
 
 KINDS = ("product", "two_term")
@@ -69,10 +69,6 @@ def printed(command: str, graph, state) -> dict:
     with contextlib.redirect_stdout(out):
         assert main([command, "--graph", str(graph), "--state", str(state)]) == 0
     return json.loads(out.getvalue())
-
-
-def ulps(value: float, exact: Fraction) -> float:
-    return round(float(abs(Fraction(value) - exact) / Fraction(math.ulp(value))), 2)
 
 
 def partition(blocks) -> Partition:
